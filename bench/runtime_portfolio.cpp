@@ -559,12 +559,14 @@ std::vector<LpScalePoint> run_lp_scale(const std::vector<int>& sizes,
 
 void print_lp_scale(const std::vector<LpScalePoint>& points) {
   bench::Table table({"family", "n", "edges", "wall ms", "columns",
-                      "masters", "pricing ms", "winner", "period"});
+                      "masters", "pivots", "pricing ms", "winner",
+                      "period"});
   for (const LpScalePoint& p : points) {
     table.add_row({p.family, std::to_string(p.nodes),
                    std::to_string(p.edges), bench::fmt(p.wall_ms, 1),
                    std::to_string(p.columns_priced),
                    std::to_string(p.master_iterations),
+                   std::to_string(p.lp_iterations),
                    bench::fmt(p.pricing_ms, 1),
                    p.certified ? p.winner : "UNCERTIFIED",
                    bench::fmt(p.period, 4)});

@@ -90,10 +90,21 @@ Solution IncrementalSimplex::solve_internal(const Model& model, Reuse reuse) {
   const int n = model.num_vars();
   const int m = model.num_rows();
 
-  auto cold = [&]() {
+  // Every engine hands over its reinversion tally before it is replaced
+  // and after every run, so fallbacks and basis loads are counted too.
+  auto rebuild = [&]() {
+    if (engine_) stats_.reinversions.merge(engine_->take_reinversions());
     engine_ = std::make_unique<detail::Simplex>(model, options_);
+  };
+  auto run = [&]() {
     Solution s = engine_->run(model);
     stats_.iterations += s.iterations;
+    stats_.reinversions.merge(engine_->take_reinversions());
+    return s;
+  };
+  auto cold = [&]() {
+    rebuild();
+    Solution s = run();
     if (s.optimal()) cold_reference_iters_ = s.iterations;
     return s;
   };
@@ -115,8 +126,7 @@ Solution IncrementalSimplex::solve_internal(const Model& model, Reuse reuse) {
     // just-absorbed column append): reload the bounds/costs in place, keep
     // the basis and the eta file.
     engine_->refresh_data(model);
-    sol = engine_->run(model);
-    stats_.iterations += sol.iterations;
+    sol = run();
     warm_attempted = true;
     if (sol.optimal()) {
       ++stats_.warm_starts;
@@ -127,10 +137,9 @@ Solution IncrementalSimplex::solve_internal(const Model& model, Reuse reuse) {
     // Same shape, different coefficients: rebuild, adopt the last basis
     // (refactorised with repair). A snapshot the refactorisation rejects
     // outright is a straight cold fallback.
-    engine_ = std::make_unique<detail::Simplex>(model, options_);
+    rebuild();
     if (engine_->load_basis(last_basis_)) {
-      sol = engine_->run(model);
-      stats_.iterations += sol.iterations;
+      sol = run();
       warm_attempted = true;
       if (sol.optimal()) ++stats_.warm_starts;
     } else {

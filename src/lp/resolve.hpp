@@ -11,8 +11,10 @@
 ///    *data* edits (structure version unchanged); adding variables, rows
 ///    or entries are *structural* edits. The split is what tells the
 ///    solver how much of its state survives.
-///  * IncrementalSimplex — a persistent solver. Data-only edits re-solve
-///    in place, reusing the basis AND the eta file (no refactorisation);
+///  * IncrementalSimplex — a persistent solver. Data-only edits and column
+///    appends re-solve in place, reusing the basis AND the eta file (no
+///    refactorisation unless the engine's drift check or cost trigger
+///    calls for one);
 ///    structural edits or a different model rebuild but warm-start from
 ///    the previous basis whenever the shape (vars, rows) matches; anything
 ///    else runs cold. A warm attempt that fails to reach optimality falls
@@ -20,7 +22,8 @@
 ///    than lp::solve() would return.
 ///  * ResolveStats — per-sequence counters (solves, warm-start hits, eta
 ///    reuses, cold fallbacks, simplex iterations) threaded through the
-///    heuristics into the runtime's per-strategy outcomes.
+///    heuristics into the runtime's per-strategy outcomes, plus the
+///    engine's reinversions by cause, which stay internal.
 
 #include <atomic>
 #include <cstdint>
@@ -37,6 +40,24 @@ namespace detail {
 class Simplex;
 }
 
+/// Basis reinversions of the simplex engine, by cause. Internal
+/// accounting for tests and benches; it stays off LpStats and the wire.
+struct ReinversionCounts {
+  int initial = 0;  ///< cold start or adopted basis: nothing to reuse
+  int drift = 0;    ///< end-of-phase residual or bound check failed
+  int trigger = 0;  ///< update-eta work overtook the last reinversion's
+  int cap = 0;      ///< SolverOptions::refactor_every update etas reached
+
+  int total() const { return initial + drift + trigger + cap; }
+
+  void merge(const ReinversionCounts& other) {
+    initial += other.initial;
+    drift += other.drift;
+    trigger += other.trigger;
+    cap += other.cap;
+  }
+};
+
 /// Counters for one warm-started LP sequence.
 struct ResolveStats {
   int solves = 0;          ///< total solve() calls
@@ -44,6 +65,7 @@ struct ResolveStats {
   int eta_reuses = 0;      ///< warm starts that also kept the eta file
   int cold_fallbacks = 0;  ///< warm attempts re-run cold after a failure
   long long iterations = 0;///< total simplex iterations (incl. fallbacks)
+  ReinversionCounts reinversions;  ///< incl. fallbacks and basis loads
 
   // Column-generation accounting (zero outside a pricing loop).
   int columns_priced = 0;     ///< columns appended by a pricing oracle
@@ -60,6 +82,7 @@ struct ResolveStats {
     eta_reuses += other.eta_reuses;
     cold_fallbacks += other.cold_fallbacks;
     iterations += other.iterations;
+    reinversions.merge(other.reinversions);
     columns_priced += other.columns_priced;
     master_iterations += other.master_iterations;
     pricing_ms += other.pricing_ms;

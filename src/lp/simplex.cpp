@@ -194,6 +194,7 @@ bool Simplex::load_basis(const Basis& basis) {
       value_[sj] = 0.0;
     }
   }
+  ++reinversions_.initial;
   if (!reinvert()) return false;
   compute_basic_values();
   return true;
@@ -338,6 +339,7 @@ bool Simplex::append_columns(const Model& model) {
 
 bool Simplex::reinvert() {
   etas_.clear();
+  etas_base_ = 0;  // the FTRANs below count every eta as work
   factorized_ = false;
   std::vector<int> vars = basic_;
   // Logical columns first (their etas are singletons), then structurals by
@@ -358,72 +360,63 @@ bool Simplex::reinvert() {
   std::vector<char> mark(static_cast<size_t>(m_), 0);
   std::vector<int> dropped;
   const bool sparse = opt_.sparse_ftran;
+  std::size_t work = static_cast<size_t>(m_);
 
   auto pivot_column = [&](int var) -> bool {
-    int best = -1;
-    double best_abs = opt_.pivot_tol;
-    Eta e;
+    const std::vector<int>* scan = nullptr;  // null: dense ascending scan
     if (sparse) {
       // Clear only what the previous column touched, then FTRAN over the
-      // tracked pattern. Sorting the pattern reproduces the dense loop's
-      // ascending-row scans (pivot choice and eta layout are identical).
+      // tracked pattern; scan_order() keeps the dense loop's ascending-row
+      // order, so pivot choice and eta layout are identical.
       for (int i : pat) {
         w[static_cast<size_t>(i)] = 0.0;
         mark[static_cast<size_t>(i)] = 0;
       }
       pat.clear();
       scatter_column_pattern(var, w, pat, mark);
-      ftran_sparse(w, pat, mark);
-      std::sort(pat.begin(), pat.end());
-      for (int i : pat) {
-        if (pivoted[static_cast<size_t>(i)]) continue;
-        double a = std::fabs(w[static_cast<size_t>(i)]);
-        if (a > best_abs) {
-          best_abs = a;
-          best = i;
-        }
-      }
-      if (best < 0) return false;
-      e.r = best;
-      e.pivot = w[static_cast<size_t>(best)];
-      for (int i : pat) {
-        double v = w[static_cast<size_t>(i)];
-        if (i != best && std::fabs(v) > kDropTol) {
-          e.idx.push_back(i);
-          e.val.push_back(v);
-        }
-      }
+      work += ftran_sparse(w, pat, mark);
+      scan = scan_order(pat);
     } else {
       std::fill(w.begin(), w.end(), 0.0);
       scatter_column(var, w);
-      ftran(w);
-      for (int i = 0; i < m_; ++i) {
-        if (pivoted[static_cast<size_t>(i)]) continue;
-        double a = std::fabs(w[static_cast<size_t>(i)]);
-        if (a > best_abs) {
-          best_abs = a;
-          best = i;
-        }
-      }
-      if (best < 0) return false;
-      e.r = best;
-      e.pivot = w[static_cast<size_t>(best)];
-      for (int i = 0; i < m_; ++i) {
-        double v = w[static_cast<size_t>(i)];
-        if (i != best && std::fabs(v) > kDropTol) {
-          e.idx.push_back(i);
-          e.val.push_back(v);
-        }
+      work += ftran(w);
+    }
+    const std::size_t count = scan ? scan->size() : static_cast<size_t>(m_);
+    int best = -1;
+    double best_abs = opt_.pivot_tol;
+    for (std::size_t k = 0; k < count; ++k) {
+      const int i = scan ? (*scan)[k] : static_cast<int>(k);
+      if (pivoted[static_cast<size_t>(i)]) continue;
+      double a = std::fabs(w[static_cast<size_t>(i)]);
+      if (a > best_abs) {
+        best_abs = a;
+        best = i;
       }
     }
-    etas_.push_back(std::move(e));
+    if (best < 0) return false;
+    etas_.push_back(make_eta(best, w, scan));
     pivoted[static_cast<size_t>(best)] = 1;
     new_basic[static_cast<size_t>(best)] = var;
     return true;
   };
 
-  for (int var : vars) {
-    if (!pivot_column(var)) dropped.push_back(var);
+  // The logical prefix is emitted directly: a logical's column -e_i passes
+  // unchanged through the logical etas before it (each touches only its own
+  // row), so its eta is the singleton (r = i, pivot = -1). Running it
+  // through pivot_column would walk the whole prefix per logical — O(m^2)
+  // per reinversion — to produce exactly that.
+  std::size_t next = 0;
+  for (; next < vars.size() && vars[next] >= n_; ++next) {
+    const int row = vars[next] - n_;
+    Eta e;
+    e.r = row;
+    e.pivot = -1.0;
+    etas_.push_back(std::move(e));
+    pivoted[static_cast<size_t>(row)] = 1;
+    new_basic[static_cast<size_t>(row)] = vars[next];
+  }
+  for (; next < vars.size(); ++next) {
+    if (!pivot_column(vars[next])) dropped.push_back(vars[next]);
   }
   // Basis repair: replace numerically dependent columns with the logical of
   // a still-unpivoted row.
@@ -462,11 +455,39 @@ bool Simplex::reinvert() {
     basic_pos_[static_cast<size_t>(basic_[static_cast<size_t>(i)])] = i;
   }
   etas_base_ = etas_.size();
-  base_nnz_ = 0;
-  for (const Eta& e : etas_) base_nnz_ += e.idx.size() + 1;
   update_nnz_ = 0;
+  reinvert_work_ = kReinvertWorkFactor * work;
+  update_work_ = 0;
   factorized_ = true;
   return true;
+}
+
+Eta Simplex::make_eta(int r, const std::vector<double>& w,
+                      const std::vector<int>* scan) const {
+  // Two passes over the scan: count, then fill storage reserved exactly,
+  // instead of letting push_back regrow both arrays per eta.
+  const std::size_t count = scan ? scan->size() : static_cast<size_t>(m_);
+  auto row_at = [&](std::size_t k) {
+    return scan ? (*scan)[k] : static_cast<int>(k);
+  };
+  auto kept = [&](int i) {
+    return i != r && std::fabs(w[static_cast<size_t>(i)]) > kDropTol;
+  };
+  std::size_t nnz = 0;
+  for (std::size_t k = 0; k < count; ++k) nnz += kept(row_at(k)) ? 1 : 0;
+  Eta e;
+  e.r = r;
+  e.pivot = w[static_cast<size_t>(r)];
+  e.idx.reserve(nnz);
+  e.val.reserve(nnz);
+  for (std::size_t k = 0; k < count; ++k) {
+    const int i = row_at(k);
+    if (kept(i)) {
+      e.idx.push_back(i);
+      e.val.push_back(w[static_cast<size_t>(i)]);
+    }
+  }
+  return e;
 }
 
 void Simplex::compute_basic_values() {
@@ -489,6 +510,57 @@ void Simplex::compute_basic_values() {
     value_[static_cast<size_t>(basic_[static_cast<size_t>(i)])] =
         rhs[static_cast<size_t>(i)];
   }
+}
+
+bool Simplex::residuals_hold() const {
+  // Primal: A x - s over the engine's scaled matrix, x_B as just recomputed
+  // through the eta file.
+  std::vector<double> r(static_cast<size_t>(m_), 0.0);
+  double xmax = 0.0;
+  for (int j = 0; j < n_; ++j) {
+    const double v = value_[static_cast<size_t>(j)];
+    if (v == 0.0) continue;
+    xmax = std::max(xmax, std::fabs(v));
+    for (std::int64_t k = mat_.col_begin(j); k < mat_.col_end(j); ++k) {
+      r[static_cast<size_t>(mat_.row(k))] += mat_.value(k) * v;
+    }
+  }
+  double rmax = 0.0;
+  for (int i = 0; i < m_; ++i) {
+    const double s = value_[static_cast<size_t>(n_ + i)];
+    xmax = std::max(xmax, std::fabs(s));
+    rmax = std::max(rmax, std::fabs(r[static_cast<size_t>(i)] - s));
+  }
+  // Negated comparisons: a NaN residual fails the check.
+  if (!(rmax <= kResidualTol * (1.0 + xmax))) return false;
+
+  // Dual: y = B^-T c_B through the same file must price every basic
+  // column at zero.
+  std::vector<double> y(static_cast<size_t>(m_));
+  double cmax = 0.0;
+  for (int p = 0; p < m_; ++p) {
+    const auto j = static_cast<size_t>(basic_[static_cast<size_t>(p)]);
+    const double c = cost_[j];
+    y[static_cast<size_t>(p)] = c;
+    cmax = std::max(cmax, std::fabs(c));
+  }
+  btran(y);
+  const double dual_bar = kResidualTol * (1.0 + cmax);
+  for (int p = 0; p < m_; ++p) {
+    const int j = basic_[static_cast<size_t>(p)];
+    const double d = cost_[static_cast<size_t>(j)] - dot_column(j, y);
+    if (!(std::fabs(d) <= dual_bar)) return false;
+  }
+  return true;
+}
+
+bool Simplex::settle(double infeas_bar) {
+  compute_basic_values();
+  if (total_infeasibility() <= infeas_bar && residuals_hold()) return true;
+  ++reinversions_.drift;
+  if (!reinvert()) return false;
+  compute_basic_values();
+  return true;
 }
 
 double Simplex::total_infeasibility() const {
@@ -557,6 +629,7 @@ void Simplex::update_devex(int enter, int leave_pos,
   std::vector<double> rho(static_cast<size_t>(m_), 0.0);
   rho[static_cast<size_t>(leave_pos)] = 1.0;
   btran(rho);
+  update_work_ += update_nnz_;
   double wmax = 1.0;
   for (int j = 0; j < nt_; ++j) {
     auto sj = static_cast<size_t>(j);
@@ -688,18 +761,7 @@ void Simplex::apply_step(int enter, int direction, const Ratio& r,
   basic_[static_cast<size_t>(p)] = enter;
   basic_pos_[se] = p;
 
-  Eta e;
-  e.r = p;
-  e.pivot = w[static_cast<size_t>(p)];
-  const std::size_t count = pat ? pat->size() : static_cast<size_t>(m_);
-  for (std::size_t pi = 0; pi < count; ++pi) {
-    const int i = pat ? (*pat)[pi] : static_cast<int>(pi);
-    double v = w[static_cast<size_t>(i)];
-    if (i != p && std::fabs(v) > kDropTol) {
-      e.idx.push_back(i);
-      e.val.push_back(v);
-    }
-  }
+  Eta e = make_eta(p, w, pat);
   update_nnz_ += e.idx.size() + 1;
   etas_.push_back(std::move(e));
 }
@@ -742,6 +804,7 @@ Simplex::LoopResult Simplex::iterate(bool phase1) {
       y[static_cast<size_t>(p)] = c;
     }
     btran(y);
+    update_work_ += update_nnz_;  // BTRAN applies every update eta
 
     Pricing pr = price(y, phase1);
     if (pr.direction == 0) {
@@ -759,13 +822,12 @@ Simplex::LoopResult Simplex::iterate(bool phase1) {
       }
       pat.clear();
       scatter_column_pattern(pr.var, w, pat, mark);
-      ftran_sparse(w, pat, mark);
-      std::sort(pat.begin(), pat.end());
-      wpat = &pat;
+      update_work_ += ftran_sparse(w, pat, mark);
+      wpat = scan_order(pat);
     } else {
       std::fill(w.begin(), w.end(), 0.0);
       scatter_column(pr.var, w);
-      ftran(w);
+      update_work_ += ftran(w);
     }
 
     Ratio r = ratio_test(pr.var, pr.direction, w, phase1, wpat);
@@ -786,13 +848,16 @@ Simplex::LoopResult Simplex::iterate(bool phase1) {
       bland_ = false;
     }
 
-    // Reinvert when the update etas start to dominate the FTRAN/BTRAN cost
-    // (their fill is what actually grows — pivot columns become dense as
-    // the eta file lengthens) or at the hard count cap.
-    bool too_dense = update_nnz_ > std::max(base_nnz_,
-                                            8 * static_cast<size_t>(m_));
-    if (too_dense || etas_.size() - etas_base_ >=
-                         static_cast<size_t>(opt_.refactor_every)) {
+    // Reinvert once the FTRAN/BTRAN work spent on update etas since the
+    // last reinversion exceeds what that reinversion cost (see
+    // kReinvertWorkFactor). The update overhead per pivot grows with the
+    // eta file, so the average cost per pivot over a reinversion cycle is
+    // least where the two are equal. The count cap stays as a hard bound
+    // on the file's length.
+    const bool cap = etas_.size() - etas_base_ >=
+                     static_cast<size_t>(opt_.refactor_every);
+    if (cap || update_work_ > reinvert_work_) {
+      ++(cap ? reinversions_.cap : reinversions_.trigger);
       if (!reinvert()) return LoopResult::Numerical;
       compute_basic_values();
     }
@@ -812,6 +877,7 @@ Solution Simplex::run(const Model& model) {
   if (opt_.pricing == PricingRule::Devex) reset_devex();
 
   if (!factorized_) {
+    ++reinversions_.initial;
     if (!reinvert()) {
       sol.status = SolveStatus::Numerical;
       return sol;
@@ -826,9 +892,9 @@ Solution Simplex::run(const Model& model) {
   };
 
   // Phase 1 (only if the start point is out of bounds — a cold logical
-  // start, or a warm basis whose bounds moved). One retry after a
-  // reinversion absorbs mild numerical drift; a persistent residual means
-  // the model is genuinely infeasible.
+  // start, or a warm basis whose bounds moved). One retry after the drift
+  // check absorbs mild numerical drift; a persistent residual means the
+  // model is genuinely infeasible.
   for (int attempt = 0; attempt < 2 && total_infeasibility() > opt_.feas_tol;
        ++attempt) {
     LoopResult lr = iterate(/*phase1=*/true);
@@ -836,8 +902,7 @@ Solution Simplex::run(const Model& model) {
     if (lr == LoopResult::Aborted) return fail(SolveStatus::Aborted);
     if (lr == LoopResult::Cutoff) return fail(SolveStatus::CutoffReached);
     if (lr != LoopResult::Converged) return fail(SolveStatus::Numerical);
-    if (!reinvert()) return fail(SolveStatus::Numerical);
-    compute_basic_values();
+    if (!settle(opt_.feas_tol)) return fail(SolveStatus::Numerical);
     if (attempt == 1 && total_infeasibility() > opt_.feas_tol) {
       return fail(SolveStatus::Infeasible);
     }
@@ -846,7 +911,9 @@ Solution Simplex::run(const Model& model) {
     return fail(SolveStatus::Infeasible);
   }
 
-  // Phase 2, with feasibility restoration on numerical drift.
+  // Phase 2, with feasibility restoration on numerical drift. A converged
+  // phase keeps its eta file unless settle() finds it drifted, so the next
+  // warm re-solve (eta reuse, column append) starts without refactorising.
   sol.status = SolveStatus::Numerical;
   for (int attempt = 0; attempt < 4; ++attempt) {
     LoopResult lr = iterate(/*phase1=*/false);
@@ -855,8 +922,7 @@ Solution Simplex::run(const Model& model) {
     if (lr == LoopResult::Numerical) return fail(SolveStatus::Numerical);
     if (lr == LoopResult::Aborted) return fail(SolveStatus::Aborted);
     if (lr == LoopResult::Cutoff) return fail(SolveStatus::CutoffReached);
-    if (!reinvert()) return fail(SolveStatus::Numerical);
-    compute_basic_values();
+    if (!settle(10 * opt_.feas_tol)) return fail(SolveStatus::Numerical);
     if (total_infeasibility() <= 10 * opt_.feas_tol) {
       sol.status = SolveStatus::Optimal;
       break;

@@ -9,8 +9,11 @@
 ///  * phase 1 is the classic composite method: minimise the sum of bound
 ///    violations of basic variables with a piecewise-linear cost re-derived
 ///    each iteration, stopping at the first ratio-test breakpoint;
-///  * the basis inverse is kept as an eta file (PFI) with periodic
-///    reinversion by product-form Gauss–Jordan, logical columns first;
+///  * the basis inverse is kept as an eta file (PFI), reinverted by
+///    product-form Gauss–Jordan (logical columns first) only when the
+///    update etas have cost more than a fresh factorisation, or when a
+///    converged phase fails its residual check — so a warm re-solve
+///    continues on the previous solve's eta file;
 ///  * Dantzig pricing with a Bland's-rule fallback after a run of
 ///    degenerate pivots guarantees termination;
 ///  * optional geometric-mean equilibration improves conditioning on the
@@ -74,9 +77,12 @@ struct SolverOptions {
   double feas_tol = 1e-7;   ///< bound/row feasibility tolerance
   double opt_tol = 1e-7;    ///< reduced-cost (dual feasibility) tolerance
   double pivot_tol = 1e-8;  ///< minimum acceptable pivot magnitude
-  int refactor_every = 600; ///< eta-file length triggering reinversion
-                            ///  (reinversion dominates large solves; the
-                            ///  phase-2 drift check guards the numerics)
+  int refactor_every = 600; ///< hard cap on update etas between
+                            ///  reinversions. Below it the engine reinverts
+                            ///  when the update etas' FTRAN/BTRAN work
+                            ///  overtakes the last reinversion's cost, or
+                            ///  when a converged phase fails its residual
+                            ///  check (lp/simplex_impl.hpp)
   bool scale = true;        ///< geometric-mean equilibration
 
   /// Cooperative mid-solve hook, polled every checkpoint_every simplex

@@ -14,20 +14,47 @@
 ///  * eta reuse   — refresh_data() + run() on a live instance whose model
 ///    kept the exact same constraint entries: bounds/costs are reloaded in
 ///    place, the basis *and* the eta file survive, and the next solve
-///    starts from the previous optimal point with zero refactorisation.
+///    starts from the previous optimal point without refactorising;
+///  * append      — append_columns() + refresh_data() + run(): the column-
+///    generation step, an eta reuse on a model that gained columns.
+///
+/// When a reinversion happens (ReinversionCounts names the causes):
+///  * initial — a cold start or an adopted basis has no eta file yet;
+///  * trigger — after a pivot, once the FTRAN/BTRAN work spent on update
+///    etas since the last reinversion exceeds that reinversion's cost
+///    (kReinvertWorkFactor times its FTRAN work);
+///  * cap     — SolverOptions::refactor_every update etas;
+///  * drift   — settle() at the end of each phase recomputes x_B through
+///    the live eta file and checks the primal residual, the dual residual
+///    on basic columns (kResidualTol) and the bound violation; only a
+///    failed check reinverts. Nothing else refactorises, so a converged
+///    solve hands its eta file to the next warm re-solve.
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "lp/resolve.hpp"
 #include "lp/simplex.hpp"
 #include "lp/sparse.hpp"
 
 namespace pmcast::lp::detail {
 
 inline constexpr double kDropTol = 1e-11;  // eta entries below this dropped
+/// End-of-phase drift bar: the live eta file is kept while the primal
+/// residual |A x - s| stays within kResidualTol * (1 + max |x|) and the
+/// dual residual |c_j - a_j^T y| on basic columns within
+/// kResidualTol * (1 + max |c_B|); beyond either, reinvert.
+inline constexpr double kResidualTol = 1e-9;
+/// What the reinversion trigger charges a reinversion, per unit of eta work
+/// its FTRANs counted: each column it factorises is also scanned for the
+/// pivot and stored as an eta, which measures at about as much again.
+/// Over 48 power_law n=170-190 column-generation runs on a 4-vCPU Xeon,
+/// charging 1x, 2x and 3x took 3.5, 3.0 and 3.2 s of master time.
+inline constexpr std::size_t kReinvertWorkFactor = 2;
 
 enum VarStatus : signed char {
   kNonbasicLower = 0,
@@ -81,6 +108,11 @@ class Simplex {
   /// variable count shrank, or new entries touch pre-existing columns.
   bool append_columns(const Model& model);
 
+  /// Reinversions since the previous call (or construction), by cause.
+  ReinversionCounts take_reinversions() {
+    return std::exchange(reinversions_, ReinversionCounts{});
+  }
+
  private:
   void build(const Model& model);
   void compute_scaling();
@@ -88,8 +120,16 @@ class Simplex {
   void reset_to_logical_basis();
 
   // --- basis linear algebra (PFI) ---
-  void ftran(std::vector<double>& v) const {
-    for (const Eta& e : etas_) {
+  //
+  // Both FTRANs return the work they spent on the etas past etas_base_ —
+  // one unit per eta visited plus one per entry applied. That is the update
+  // etas' share during iterations, and the whole file while reinvert()
+  // rebuilds it (etas_base_ is 0 then); the reinversion trigger weighs the
+  // two against each other.
+  std::size_t ftran(std::vector<double>& v) const {
+    std::size_t applied = 0;
+    for (std::size_t q = 0; q < etas_.size(); ++q) {
+      const Eta& e = etas_[q];
       double t = v[static_cast<size_t>(e.r)];
       if (t == 0.0) continue;
       t /= e.pivot;
@@ -98,7 +138,9 @@ class Simplex {
       for (size_t i = 0; i < k; ++i) {
         v[static_cast<size_t>(e.idx[i])] -= e.val[i] * t;
       }
+      if (q >= etas_base_) applied += k;
     }
+    return applied + (etas_.size() - etas_base_);
   }
   void btran(std::vector<double>& y) const {
     for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
@@ -118,9 +160,11 @@ class Simplex {
   /// O(m) zero scan afterwards. The pattern is a superset of the true
   /// nonzeros (cancellations stay listed) and comes out unsorted; callers
   /// whose downstream scans are order-sensitive must sort it first.
-  void ftran_sparse(std::vector<double>& v, std::vector<int>& pat,
-                    std::vector<char>& mark) const {
-    for (const Eta& e : etas_) {
+  std::size_t ftran_sparse(std::vector<double>& v, std::vector<int>& pat,
+                           std::vector<char>& mark) const {
+    std::size_t applied = 0;
+    for (std::size_t q = 0; q < etas_.size(); ++q) {
+      const Eta& e = etas_[q];
       double t = v[static_cast<size_t>(e.r)];
       if (t == 0.0) continue;
       t /= e.pivot;
@@ -134,7 +178,20 @@ class Simplex {
           pat.push_back(e.idx[i]);
         }
       }
+      if (q >= etas_base_) applied += k;
     }
+    return applied + (etas_.size() - etas_base_);
+  }
+
+  /// Scan order for a pattern-tracked FTRAN result: the pattern sorted
+  /// ascending, or nullptr (the dense ascending scan over all m rows) once
+  /// it covers more than 1/8 of them, where the sort costs more than the
+  /// zeros the scan skips. Rows outside the pattern hold exact zeros, which
+  /// every consumer skips, so both orders visit the nonzeros identically.
+  const std::vector<int>* scan_order(std::vector<int>& pat) const {
+    if (pat.size() * 8 > static_cast<std::size_t>(m_)) return nullptr;
+    std::sort(pat.begin(), pat.end());
+    return &pat;
   }
 
   // Column access: structural j < n_ is a CSC slice of mat_; logical
@@ -184,9 +241,21 @@ class Simplex {
     return var >= n_ ? 1 : mat_.col_nnz(var);
   }
 
+  /// The eta of a pivot at row \p r on the FTRANed column \p w: its
+  /// off-pivot entries above kDropTol, in \p scan order (see scan_order();
+  /// nullptr scans all m rows).
+  Eta make_eta(int r, const std::vector<double>& w,
+               const std::vector<int>* scan) const;
   bool reinvert();
   void compute_basic_values();
   double total_infeasibility() const;
+
+  /// End-of-phase acceptance of the live eta file: recompute x_B through
+  /// it and keep it when the residuals (see kResidualTol) and the bound
+  /// violation (at most \p infeas_bar) hold; otherwise reinvert — a drift
+  /// reinversion — and recompute. False only when that reinversion fails.
+  bool settle(double infeas_bar);
+  bool residuals_hold() const;
 
   // --- iteration machinery ---
   struct Pricing {
@@ -203,10 +272,11 @@ class Simplex {
     double step = 0.0;
     signed char leave_status = kNonbasicLower;  // bound the leaver lands on
   };
-  /// \p pat: sorted nonzero pattern of w, or nullptr for the dense
-  /// reference scan (SolverOptions::sparse_ftran == false). The sorted
-  /// pattern reproduces the dense loop's ascending-row visit order, so
-  /// tie-breaking is identical.
+  /// \p pat: sorted nonzero pattern of w, or nullptr for the dense scan
+  /// (the reference arm, SolverOptions::sparse_ftran == false, or a pattern
+  /// too dense to be worth sorting; see scan_order()). The sorted pattern
+  /// reproduces the dense loop's ascending-row visit order, so tie-breaking
+  /// is identical.
   Ratio ratio_test(int enter, int direction, const std::vector<double>& w,
                    bool phase1, const std::vector<int>* pat) const;
 
@@ -253,11 +323,13 @@ class Simplex {
   std::vector<double> value_;         // nt_
 
   std::vector<Eta> etas_;
-  size_t etas_base_ = 0;
-  size_t base_nnz_ = 0;    // eta nnz produced by the last reinversion
-  size_t update_nnz_ = 0;  // eta nnz appended by pivots since then
+  size_t etas_base_ = 0;     // etas_[0, etas_base_) came from reinvert()
+  size_t update_nnz_ = 0;    // eta nnz appended by pivots since then
+  size_t reinvert_work_ = 0; // last reinversion's cost (kReinvertWorkFactor)
+  size_t update_work_ = 0;   // FTRAN/BTRAN work on update etas since then
 
   bool factorized_ = false;  // etas_ invert the current basis
+  ReinversionCounts reinversions_;
 
   int iterations_ = 0;
   int max_iters_ = 0;

@@ -136,7 +136,10 @@ ColoringResult color_communications(std::span<const Communication> comms,
   }
   std::vector<int> match_left_edge(static_cast<size_t>(n_send), -1);
   std::vector<int> match_right(static_cast<size_t>(n_recv), -1);
-  std::vector<char> visited(static_cast<size_t>(n_recv), 0);
+  // visited[r] == epoch marks r as seen by the current augmentation; bumping
+  // the epoch clears every mark at once instead of refilling the array.
+  std::vector<std::size_t> visited(static_cast<size_t>(n_recv), 0);
+  std::size_t epoch = 0;
   std::size_t live_real = 0;
   for (const WorkEdge& e : edges) {
     if (e.payload >= 0 && e.weight > kEps) ++live_real;
@@ -161,8 +164,8 @@ ColoringResult color_communications(std::span<const Communication> comms,
         const WorkEdge& e = edges[static_cast<size_t>(ei)];
         if (e.weight <= kEps) continue;
         const int r = receiver_id[static_cast<size_t>(e.receiver)];
-        if (visited[static_cast<size_t>(r)]) continue;
-        visited[static_cast<size_t>(r)] = 1;
+        if (visited[static_cast<size_t>(r)] == epoch) continue;
+        visited[static_cast<size_t>(r)] = epoch;
         if (match_right[static_cast<size_t>(r)] < 0) {
           match_right[static_cast<size_t>(r)] = l;
           match_left_edge[static_cast<size_t>(l)] = ei;
@@ -209,7 +212,7 @@ ColoringResult color_communications(std::span<const Communication> comms,
         }
       }
       if (!has_live) continue;
-      std::fill(visited.begin(), visited.end(), 0);
+      ++epoch;
       try_augment(l);
     }
 

@@ -54,7 +54,8 @@ double max_port_load(std::span<const Communication> comms, int node_count);
 
 /// Decompose \p comms into slots of simultaneous one-port-safe transfers.
 /// On success, sum of slot lengths == max_port_load(comms) (within fp noise)
-/// and every communication's slot time adds up to its duration.
+/// and every communication's slot time adds up to its duration. Slots come
+/// out in increasing start order.
 ColoringResult color_communications(std::span<const Communication> comms,
                                     int node_count);
 

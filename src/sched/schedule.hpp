@@ -45,11 +45,13 @@ struct Schedule {
 
 /// Orchestrate \p transfers into a period via weighted edge colouring.
 /// The resulting period equals the max port load (the paper's bound T).
+/// Slots come out in nondecreasing start order.
 Schedule build_schedule(std::vector<Transfer> transfers, int node_count);
 
 /// Static verification: slots lie in [0, period], no two simultaneous slots
 /// share a sender or receiver port, and every transfer's slot time sums to
-/// its duration. Returns an empty string on success, else a diagnostic.
+/// its duration. Accepts slots in any order. Returns an empty string on
+/// success, else a diagnostic.
 std::string validate_schedule(const Schedule& schedule, int node_count,
                               double tol = 1e-6);
 

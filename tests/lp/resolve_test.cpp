@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "graph/rng.hpp"
 
@@ -228,6 +231,85 @@ TEST(IncrementalSimplex, WarmSequenceMatchesColdOnRandomBoundSweeps) {
     }
   }
   EXPECT_GT(solver.stats().warm_starts, 0);
+}
+
+/// |a - b| <= 1e-9 * (1 + max(|a|, |b|)).
+void expect_matches_cold(const Solution& warm, const Model& model,
+                         const std::string& what) {
+  const Solution cold = solve(model);
+  ASSERT_TRUE(cold.optimal()) << what;
+  ASSERT_TRUE(warm.optimal()) << what;
+  const double scale =
+      1.0 + std::max(std::abs(warm.objective), std::abs(cold.objective));
+  EXPECT_LE(std::abs(warm.objective - cold.objective), 1e-9 * scale)
+      << what << ": warm " << warm.objective << " vs cold " << cold.objective;
+}
+
+TEST(IncrementalSimplex, EtaReuseKeepsTheFactorisationAcrossDataEdits) {
+  // A data-edit sequence re-solves on the live eta file: after the one
+  // initial factorisation, no solve's end-of-phase check may find drift,
+  // and every answer matches a cold solve.
+  Rng rng(5);
+  ResolvableModel rm(random_lp(21, 40));
+  IncrementalSimplex solver;
+  ASSERT_TRUE(solver.solve(rm).optimal());
+  for (int step = 0; step < 15; ++step) {
+    const int j = static_cast<int>(rng.uniform(40));
+    rm.set_var_bounds(j, 0.0, rng.uniform_real(0.5, 10.0));
+    rm.set_obj_coeff(static_cast<int>(rng.uniform(40)), rng.uniform_real());
+    const Solution warm = solver.solve(rm);
+    expect_matches_cold(warm, rm.model(), "step " + std::to_string(step));
+  }
+  const ResolveStats& stats = solver.stats();
+  EXPECT_EQ(stats.eta_reuses, 15);
+  EXPECT_EQ(stats.cold_fallbacks, 0);
+  EXPECT_EQ(stats.reinversions.initial, 1);
+  EXPECT_EQ(stats.reinversions.drift, 0);
+  // A re-solve pays for its pivots, not for a factorisation of its own.
+  EXPECT_LT(stats.reinversions.total(), stats.solves);
+}
+
+TEST(IncrementalSimplex, ColumnAppendsKeepTheFactorisation) {
+  // The column-generation pattern: a packing master (maximise sum y_k
+  // subject to per-row capacities) grows by one column per round and
+  // re-solves warm with Devex, as core::column_generation_throughput does.
+  Rng rng(17);
+  const int rows = 30;
+  Model base(Sense::Maximize);
+  for (int i = 0; i < rows; ++i) base.add_row_le(1.0);
+  ResolvableModel rm(std::move(base));
+  auto append = [&]() {
+    std::vector<int> idx;
+    std::vector<double> val;
+    for (int i = 0; i < rows; ++i) {
+      if (rng.bernoulli(0.25)) {
+        idx.push_back(i);
+        val.push_back(rng.uniform_real(0.1, 2.0));
+      }
+    }
+    if (idx.empty()) {
+      idx.push_back(static_cast<int>(rng.uniform(rows)));
+      val.push_back(1.0);
+    }
+    rm.add_column(0.0, kInf, 1.0, idx, val);
+  };
+  for (int k = 0; k < 5; ++k) append();
+  SolverOptions options;
+  options.pricing = PricingRule::Devex;
+  IncrementalSimplex solver(options);
+  ASSERT_TRUE(solver.solve(rm).optimal());
+  for (int k = 0; k < 20; ++k) {
+    append();
+    const Solution warm = solver.solve(rm);
+    expect_matches_cold(warm, rm.model(), "column " + std::to_string(k));
+  }
+  const ResolveStats& stats = solver.stats();
+  EXPECT_EQ(stats.eta_reuses, 20);
+  EXPECT_EQ(stats.cold_fallbacks, 0);
+  EXPECT_EQ(stats.reinversions.initial, 1);
+  EXPECT_EQ(stats.reinversions.drift, 0);
+  // A re-solve pays for its pivots, not for a factorisation of its own.
+  EXPECT_LT(stats.reinversions.total(), stats.solves);
 }
 
 }  // namespace
