@@ -1,9 +1,8 @@
 #pragma once
 /// \file pmcast/strategy.hpp
 /// Stable identifiers for the solver strategies a SolveRequest may allow
-/// and a SolveResponse reports on. Mirrors the runtime's internal Strategy
-/// enum one-to-one (checked by a static_assert in the Service
-/// implementation) so the facade stays decoupled from runtime headers.
+/// and a SolveResponse reports on, and the pruning policy of the race. The
+/// runtime races these types directly.
 ///
 /// This header is self-contained (standard library only).
 
@@ -60,27 +59,22 @@ inline std::optional<StrategyId> strategy_id_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-/// How the portfolio may use cross-strategy incumbent bounds to cut work
-/// (mirrors the runtime's PruningPolicy one-to-one; checked by a
-/// static_assert in the Service implementation). Every cut is *sound* —
-/// the pruned work provably could not have produced a better certified
-/// period — so the response's period is the same under all three policies.
+/// How the portfolio may use cross-strategy incumbent bounds to cut work.
+/// Every cut is *sound* — the pruned work provably could not have produced
+/// a better certified period — so the response's period and winner are
+/// the same under both policies.
 enum class PruningPolicy {
   Off = 0,        ///< blind-to-completion: run every allowed strategy
   Deterministic,  ///< staged race: pruning decisions read barrier-fenced
                   ///< snapshots only, so per-strategy outcomes are
                   ///< bit-identical across thread counts and the winner
                   ///< and period match Off exactly
-  Aggressive,     ///< additionally consult live incumbents mid-solve:
-                  ///< which dominated losers get cut may vary run to run,
-                  ///< the certified winner's period never does
 };
 
 inline const char* pruning_policy_id_name(PruningPolicy policy) {
   switch (policy) {
     case PruningPolicy::Off: return "off";
     case PruningPolicy::Deterministic: return "deterministic";
-    case PruningPolicy::Aggressive: return "aggressive";
   }
   return "?";
 }

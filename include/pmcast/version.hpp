@@ -1,6 +1,6 @@
 #pragma once
 /// \file pmcast/version.hpp
-/// The pmcast v1 API version. Versioning policy (see DESIGN_API.md):
+/// The pmcast API version. Versioning policy (see DESIGN_API.md):
 ///  * MAJOR — breaking change to any `pmcast/*.hpp` name or semantic;
 ///  * MINOR — backwards-compatible additions to the v1 surface;
 ///  * PATCH — behaviour-preserving fixes.
@@ -11,10 +11,10 @@
 /// top-level CMakeLists.txt; the install-tree test compares them.
 
 // clang-format off
-#define PMCAST_API_VERSION_MAJOR 1
+#define PMCAST_API_VERSION_MAJOR 2
 #define PMCAST_API_VERSION_MINOR 0
 #define PMCAST_API_VERSION_PATCH 0
-#define PMCAST_API_VERSION "1.0.0"
+#define PMCAST_API_VERSION "2.0.0"
 // clang-format on
 
 namespace pmcast {
@@ -23,7 +23,7 @@ inline constexpr int kApiVersionMajor = PMCAST_API_VERSION_MAJOR;
 inline constexpr int kApiVersionMinor = PMCAST_API_VERSION_MINOR;
 inline constexpr int kApiVersionPatch = PMCAST_API_VERSION_PATCH;
 
-/// "MAJOR.MINOR.PATCH", e.g. "1.0.0".
+/// "MAJOR.MINOR.PATCH", e.g. "2.0.0".
 inline const char* api_version() { return PMCAST_API_VERSION; }
 
 }  // namespace pmcast

@@ -1,10 +1,11 @@
 /// \file service.cpp
 /// Implementation of the pmcast v1 Service facade (pmcast/service.hpp):
-/// request validation, StrategyId <-> runtime::Strategy mapping,
-/// PortfolioResult -> Result<SolveResponse> translation, and the shared
-/// batch state behind SolveFuture/SolveBatch. All engine mechanics
-/// (caching, coalescing, fan-out, streaming) live in runtime/engine.cpp;
-/// this layer only adapts types and classifies failures into Status codes.
+/// request validation, PortfolioResult -> Result<SolveResponse>
+/// translation, and the batch state behind SolveFuture/SolveBatch — the
+/// one place results are stored, waited on and serialised to user
+/// callbacks. All engine mechanics (caching, coalescing, fan-out,
+/// streaming) live in runtime/engine.cpp; this layer only adapts types and
+/// classifies failures into Status codes.
 
 #include "pmcast/service.hpp"
 
@@ -20,90 +21,12 @@
 namespace pmcast {
 namespace {
 
-// The public StrategyId mirrors the runtime enum one-to-one; the facade
-// converts by value.
-static_assert(
-    static_cast<int>(StrategyId::Mcph) ==
-            static_cast<int>(runtime::Strategy::Mcph) &&
-        static_cast<int>(StrategyId::PrunedDijkstra) ==
-            static_cast<int>(runtime::Strategy::PrunedDijkstra) &&
-        static_cast<int>(StrategyId::Kmb) ==
-            static_cast<int>(runtime::Strategy::Kmb) &&
-        static_cast<int>(StrategyId::MulticastUb) ==
-            static_cast<int>(runtime::Strategy::MulticastUb) &&
-        static_cast<int>(StrategyId::AugmentedSources) ==
-            static_cast<int>(runtime::Strategy::AugmentedSources) &&
-        static_cast<int>(StrategyId::ReducedBroadcast) ==
-            static_cast<int>(runtime::Strategy::ReducedBroadcast) &&
-        static_cast<int>(StrategyId::AugmentedMulticast) ==
-            static_cast<int>(runtime::Strategy::AugmentedMulticast) &&
-        static_cast<int>(StrategyId::Exact) ==
-            static_cast<int>(runtime::Strategy::Exact),
-    "StrategyId must mirror runtime::Strategy");
-
-static_assert(
-    static_cast<int>(PruningPolicy::Off) ==
-            static_cast<int>(runtime::PruningPolicy::Off) &&
-        static_cast<int>(PruningPolicy::Deterministic) ==
-            static_cast<int>(runtime::PruningPolicy::Deterministic) &&
-        static_cast<int>(PruningPolicy::Aggressive) ==
-            static_cast<int>(runtime::PruningPolicy::Aggressive),
-    "PruningPolicy must mirror runtime::PruningPolicy");
-
-static_assert(
-    static_cast<int>(TraceDetail::Off) ==
-            static_cast<int>(runtime::TraceDetail::Off) &&
-        static_cast<int>(TraceDetail::Counters) ==
-            static_cast<int>(runtime::TraceDetail::Counters) &&
-        static_cast<int>(TraceDetail::Timeline) ==
-            static_cast<int>(runtime::TraceDetail::Timeline),
-    "TraceDetail must mirror runtime::TraceDetail");
-
-static_assert(
-    static_cast<int>(TraceEventKind::Launch) ==
-            static_cast<int>(runtime::TraceEventKind::Launch) &&
-        static_cast<int>(TraceEventKind::FirstLpCheckpoint) ==
-            static_cast<int>(runtime::TraceEventKind::FirstLpCheckpoint) &&
-        static_cast<int>(TraceEventKind::Certified) ==
-            static_cast<int>(runtime::TraceEventKind::Certified) &&
-        static_cast<int>(TraceEventKind::Pruned) ==
-            static_cast<int>(runtime::TraceEventKind::Pruned) &&
-        static_cast<int>(TraceEventKind::Skipped) ==
-            static_cast<int>(runtime::TraceEventKind::Skipped) &&
-        static_cast<int>(TraceEventKind::Failed) ==
-            static_cast<int>(runtime::TraceEventKind::Failed),
-    "TraceEventKind must mirror runtime::TraceEventKind");
-
-runtime::Strategy to_runtime(StrategyId id) {
-  return static_cast<runtime::Strategy>(static_cast<int>(id));
-}
-
-runtime::PruningPolicy to_runtime(PruningPolicy policy) {
-  return static_cast<runtime::PruningPolicy>(static_cast<int>(policy));
-}
-
-runtime::TraceDetail to_runtime(TraceDetail detail) {
-  return static_cast<runtime::TraceDetail>(static_cast<int>(detail));
-}
-
-StrategyId to_public(runtime::Strategy s) {
-  return static_cast<StrategyId>(static_cast<int>(s));
-}
-
-std::vector<runtime::Strategy> to_runtime(
-    const std::vector<StrategyId>& ids) {
-  std::vector<runtime::Strategy> out;
-  out.reserve(ids.size());
-  for (StrategyId id : ids) out.push_back(to_runtime(id));
-  return out;
-}
-
 /// Flatten a runtime trace summary into the public SolveTrace. Cheap for
 /// the Off/Counters common cases (the histogram copy is 16 integers).
 SolveTrace to_public(const runtime::TraceSummary& trace) {
   SolveTrace out;
-  out.detail = static_cast<TraceDetail>(static_cast<int>(trace.detail));
-  if (trace.detail == runtime::TraceDetail::Off) return out;
+  out.detail = trace.detail;
+  if (trace.detail == TraceDetail::Off) return out;
   auto predicate = [&](runtime::CutPredicate p) {
     CutPredicateTrace t;
     const runtime::PredicateTrace& src = trace.predicate(p);
@@ -124,8 +47,8 @@ SolveTrace to_public(const runtime::TraceSummary& trace) {
   out.timeline.reserve(trace.timeline.size());
   for (const runtime::TraceEvent& e : trace.timeline) {
     TraceTimelineEvent event;
-    event.kind = static_cast<TraceEventKind>(static_cast<int>(e.kind));
-    event.strategy = static_cast<StrategyId>(static_cast<int>(e.strategy));
+    event.kind = e.kind;
+    event.strategy = static_cast<StrategyId>(e.strategy);
     event.slot = e.slot;
     event.thread = e.thread;
     event.t_us = e.t_us;
@@ -174,11 +97,13 @@ struct BatchState {
   std::mutex callback_mutex;
   ResultCallback on_result;
 
+  // Written before the engine sees the batch, read-only afterwards.
   FacadeClock::time_point start;
   std::vector<RequestMeta> meta;
   std::vector<std::size_t> engine_to_facade;
-  runtime::SolveTicket ticket;  ///< set under `mutex` after engine dispatch
-  bool cancel_requested = false;
+  /// The batch's cancellation token, handed to the engine at submission;
+  /// SolveBatch::cancel() stops it.
+  CancelToken batch_cancel;
 
   void deliver(std::size_t index, Result<SolveResponse> result) {
     std::optional<Result<SolveResponse>> callback_copy;
@@ -209,9 +134,9 @@ struct BatchState {
     cv.notify_all();
   }
 
-  bool was_cancelled(std::size_t index) {
-    std::lock_guard<std::mutex> lock(mutex);
-    return cancel_requested || meta[index].cancel.stop_requested();
+  bool was_cancelled(std::size_t index) const {
+    return batch_cancel.stop_requested() ||
+           meta[index].cancel.stop_requested();
   }
 };
 
@@ -230,15 +155,14 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
     bool budget_starved = false;
     std::string first_failure;
     for (const runtime::CandidateOutcome& c : run.candidates) {
-      if (c.skip_reason == runtime::SkipReason::Budget ||
-          c.skip_reason == runtime::SkipReason::DeadlineExpired ||
+      if (c.skip_reason == runtime::SkipReason::DeadlineExpired ||
           c.skip_reason == runtime::SkipReason::Cancelled) {
         budget_starved = true;
       }
       if (first_failure.empty() &&
           c.state == runtime::CandidateState::Failed) {
-        first_failure = std::string(runtime::strategy_name(c.strategy)) +
-                        ": " + c.detail;
+        first_failure =
+            std::string(strategy_id_name(c.strategy)) + ": " + c.detail;
       }
     }
     if (cancelled) {
@@ -266,11 +190,11 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
 
   SolveResponse response;
   response.period = run.period;
-  response.winner = to_public(run.winner);
+  response.winner = run.winner;
   response.outcomes.reserve(run.candidates.size());
   for (const runtime::CandidateOutcome& c : run.candidates) {
     StrategyOutcome out;
-    out.strategy = to_public(c.strategy);
+    out.strategy = c.strategy;
     out.state = to_public(c.state, c.skip_reason);
     out.period = c.period;
     out.bound_period = c.bound_period;
@@ -283,8 +207,7 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
     out.lp.columns_priced = c.lp.columns_priced;
     out.lp.master_iterations = c.lp.master_iterations;
     out.lp.pricing_ms = c.lp.pricing_ms;
-    out.prune.probes_skipped = c.prune.probes_skipped;
-    out.prune.cutoff_aborts = c.prune.cutoff_aborts;
+    out.prune = c.prune;
     out.detail = c.detail;
     switch (out.state) {
       case OutcomeState::Certified:
@@ -306,12 +229,7 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
       response.certificate.winner_detail = c.detail;
     }
   }
-  response.pruning.strategies_pruned = run.pruning.strategies_pruned;
-  response.pruning.early_win_cancels = run.pruning.early_win_cancels;
-  response.pruning.probes_skipped = run.pruning.probes_skipped;
-  response.pruning.cutoff_aborts = run.pruning.cutoff_aborts;
-  response.pruning.lb_probe_iterations = run.pruning.lb_probe_iterations;
-  response.pruning.proven_lower_bound = run.pruning.proven_lb;
+  response.pruning = run.pruning;
   response.trace = to_public(run.trace);
   response.provenance.from_cache = run.from_cache;
   response.provenance.coalesced = run.coalesced;
@@ -398,14 +316,7 @@ bool SolveBatch::wait_all_for(double timeout_ms) {
 }
 
 void SolveBatch::cancel() {
-  if (state_ == nullptr) return;
-  runtime::SolveTicket ticket;
-  {
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    state_->cancel_requested = true;
-    ticket = state_->ticket;
-  }
-  ticket.cancel();
+  if (state_ != nullptr) state_->batch_cancel.request_stop();
 }
 
 bool SolveBatch::ready(std::size_t index) const {
@@ -447,9 +358,9 @@ struct Service::Impl {
     eo.portfolio.budget.exact_max_trees = o.exact_max_trees;
     eo.portfolio.budget.colgen_max_nodes = o.colgen_max_nodes;
     eo.portfolio.simulate_periods = o.simulate_periods;
-    eo.portfolio.strategies = to_runtime(o.strategies);
-    eo.portfolio.pruning = to_runtime(o.pruning);
-    eo.portfolio.trace = to_runtime(o.trace);
+    eo.portfolio.strategies = o.strategies;
+    eo.portfolio.pruning = o.pruning;
+    eo.portfolio.trace = o.trace;
     return eo;
   }
 
@@ -469,7 +380,9 @@ SolveBatch Service::submit_batch(std::vector<SolveRequest> requests,
   auto state = std::make_shared<BatchState>();
   const std::size_t n = requests.size();
   state->slots.resize(n);
-  state->on_result = std::move(on_result);
+  // An empty batch never delivers, so it never drops the callback: storing
+  // one that (indirectly) owns this batch's handle would leak the state.
+  if (n > 0) state->on_result = std::move(on_result);
   state->start = FacadeClock::now();
   state->meta.resize(n);
 
@@ -507,10 +420,10 @@ SolveBatch Service::submit_batch(std::vector<SolveRequest> requests,
     ro.budget.exact_max_nodes = req.limits.exact_max_nodes;
     ro.budget.exact_max_trees = req.limits.exact_max_trees;
     ro.budget.colgen_max_nodes = req.limits.colgen_max_nodes;
-    ro.strategies = to_runtime(req.strategies);
+    ro.strategies = req.strategies;
     ro.priority = req.priority;
     ro.cancel = req.cancel;
-    if (req.pruning.has_value()) ro.pruning = to_runtime(*req.pruning);
+    ro.pruning = req.pruning;
     ro.known_lower_bound = req.known_lower_bound;
     engine_requests.push_back(std::move(ro));
     state->engine_to_facade.push_back(i);
@@ -523,20 +436,18 @@ SolveBatch Service::submit_batch(std::vector<SolveRequest> requests,
     state->deliver(index, std::move(status));
   }
 
-  runtime::SolveTicket ticket = impl_->engine.submit_batch(
-      problems, engine_requests,
+  // The engine calls back concurrently from its workers; to_response runs
+  // outside every lock, and deliver() serialises the user callback.
+  impl_->engine.submit_batch(
+      problems, engine_requests, state->batch_cancel,
       [state](std::size_t engine_index,
               const runtime::PortfolioResult& result) {
         std::size_t index = state->engine_to_facade[engine_index];
-        bool cancelled = state->was_cancelled(index);
         state->deliver(index,
-                       to_response(result, state->meta[index], cancelled,
+                       to_response(result, state->meta[index],
+                                   state->was_cancelled(index),
                                    ms_since(state->start)));
       });
-  {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->ticket = std::move(ticket);
-  }
   return SolveBatch(state);
 }
 

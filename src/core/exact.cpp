@@ -239,10 +239,6 @@ ExactSolution exact_optimal_throughput(const MulticastProblem& problem,
     out.aborted = true;
     return out;
   }
-  if (sol.status == lp::SolveStatus::CutoffReached) {
-    out.cutoff = true;
-    return out;
-  }
   if (!sol.optimal()) return out;
   out.ok = true;
   out.throughput = sol.objective;
@@ -437,13 +433,6 @@ ExactSolution column_generation_throughput(const MulticastProblem& problem,
     if (sol.status == lp::SolveStatus::Aborted) {
       out.aborted = true;
       if (best.optimal()) emit(best); else record_stats();
-      return out;
-    }
-    if (sol.status == lp::SolveStatus::CutoffReached) {
-      // A pruning cutoff means the incumbent already dominates whatever
-      // this master could certify — no anytime emission, it cannot win.
-      out.cutoff = true;
-      record_stats();
       return out;
     }
     if (!sol.optimal()) {

@@ -109,8 +109,8 @@ class MaskedBroadcastEb {
   /// the differential suite and the cold arm of the benches).
   void set_warm_start(bool warm) { warm_ = warm; }
 
-  /// Status of the most recent solve() that reached the LP (Aborted /
-  /// CutoffReached when a solver checkpoint stopped it — callers use this
+  /// Status of the most recent solve() that reached the LP (Aborted when
+  /// a solver checkpoint stopped it — callers use this
   /// to tell an interrupted probe from a genuinely failed one). The
   /// no-LP reachability shortcut reports Optimal: "+infinity" is a
   /// definitive answer, not a failure.

@@ -21,34 +21,18 @@ std::vector<NodeId> sorted_by_score(const std::vector<NodeId>& candidates,
 }
 
 /// Between-probe poll of the runtime's cooperative controls. Abort
-/// (deadline/cancel) outranks Prune: a dead request should stop reporting
-/// "pruned" and start reporting "deadline". Converge ranks last: it only
-/// says the remaining probes are futile, not that the result is unwanted.
-enum class ProbeVerdict { Run, Abort, Prune, Converge };
+/// (deadline/cancel) outranks Converge: Converge only says the remaining
+/// probes are futile, not that the result is unwanted.
+enum class ProbeVerdict { Run, Abort, Converge };
 
 ProbeVerdict poll(const ProbeControl& control, double current) {
   if (control.should_abort && control.should_abort()) {
     return ProbeVerdict::Abort;
   }
-  if (control.dominated && control.dominated()) return ProbeVerdict::Prune;
   if (control.converged && current < kInfinity && control.converged(current)) {
     return ProbeVerdict::Converge;
   }
   return ProbeVerdict::Run;
-}
-
-/// Map an in-LP checkpoint stop onto the result flags (mirrors the
-/// between-probe verdicts, but discovered inside a solve). Only a Cutoff
-/// counts toward cutoff_aborts: a deadline/cancellation Abort is a budget
-/// event, not pruning activity.
-template <typename Result>
-void record_interrupt(Result& result, lp::SolveStatus status) {
-  if (status == lp::SolveStatus::Aborted) {
-    result.aborted = true;
-  } else {
-    ++result.cutoff_aborts;
-    result.pruned = true;
-  }
 }
 
 /// Between-probe stop check shared by the three greedy loops: applies the
@@ -63,9 +47,6 @@ bool stop_requested(const ProbeControl& control, int planned, int probed,
     case ProbeVerdict::Abort:
       result.aborted = true;
       break;
-    case ProbeVerdict::Prune:
-      result.pruned = true;
-      break;
     case ProbeVerdict::Converge:
       // Keep ok/period: the heuristic's current value stands, only the
       // provably futile remainder of the descent is skipped.
@@ -76,13 +57,13 @@ bool stop_requested(const ProbeControl& control, int planned, int probed,
   return true;
 }
 
-/// Post-solve stop check: true when the probe's LP was interrupted by a
-/// checkpoint (flags recorded, remaining probes accounted).
+/// Post-solve stop check: true when a checkpoint aborted the probe's LP
+/// (flag recorded, remaining probes accounted).
 template <typename Result>
 bool probe_interrupted(lp::SolveStatus status, int planned, int probed,
                        Result& result) {
-  if (!lp::is_interrupted(status)) return false;
-  record_interrupt(result, status);
+  if (status != lp::SolveStatus::Aborted) return false;
+  result.aborted = true;
   result.probes_skipped += planned - probed;
   return true;
 }
@@ -104,7 +85,7 @@ PlatformHeuristicResult reduced_broadcast(const MulticastProblem& problem,
   std::optional<double> current = eb.solve(result.platform);
   ++result.lp_solves;
   if (!current) {
-    if (lp::is_interrupted(eb.last_status())) record_interrupt(result, eb.last_status());
+    result.aborted = eb.last_status() == lp::SolveStatus::Aborted;
     result.lp_stats = eb.stats();
     return result;
   }
@@ -173,8 +154,8 @@ PlatformHeuristicResult augmented_multicast(const MulticastProblem& problem,
   ++result.lp_solves;
   result.lp_stats.solves += 1;
   result.lp_stats.iterations += lb.iterations;
-  if (lp::is_interrupted(lb.status)) {
-    record_interrupt(result, lb.status);
+  if (lb.status == lp::SolveStatus::Aborted) {
+    result.aborted = true;
     return result;
   }
   std::vector<double> inflow(static_cast<size_t>(g.node_count()), 0.0);
@@ -214,8 +195,8 @@ PlatformHeuristicResult augmented_multicast(const MulticastProblem& problem,
   {
     std::optional<double> initial = eb.solve(result.platform);
     ++result.lp_solves;
-    if (!initial && lp::is_interrupted(eb.last_status())) {
-      record_interrupt(result, eb.last_status());
+    if (!initial && eb.last_status() == lp::SolveStatus::Aborted) {
+      result.aborted = true;
       result.lp_stats.merge(eb.stats());
       return result;
     }
@@ -298,9 +279,7 @@ AugmentedSourcesResult augmented_sources(const MulticastProblem& problem,
   result.solution = solve_ms(result.sources);
   ++result.lp_solves;
   if (!result.solution.ok()) {
-    if (lp::is_interrupted(result.solution.status)) {
-      record_interrupt(result, result.solution.status);
-    }
+    result.aborted = result.solution.status == lp::SolveStatus::Aborted;
     result.lp_stats = solver.stats();
     return result;
   }

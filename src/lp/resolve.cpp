@@ -150,12 +150,12 @@ Solution IncrementalSimplex::solve_internal(const Model& model, Reuse reuse) {
     sol = cold();
   }
 
-  const bool interrupted = is_interrupted(sol.status);
+  const bool interrupted = sol.status == SolveStatus::Aborted;
   if (warm_attempted && !sol.optimal() && !interrupted) {
     // Warm start led somewhere bad (stalled, drifted, or a spurious
     // verdict from a degenerate start): retry from scratch so the caller
-    // never does worse than a cold lp::solve(). A checkpoint abort/cutoff
-    // is exempt: the caller asked the solve to stop, so re-running it cold
+    // never does worse than a cold lp::solve(). A checkpoint abort is
+    // exempt: the caller asked the solve to stop, so re-running it cold
     // would undo exactly the work the interruption saved (and earn no
     // strike — the warm start didn't fail, it was told to quit).
     ++stats_.cold_fallbacks;

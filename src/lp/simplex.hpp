@@ -34,29 +34,17 @@ enum class SolveStatus {
   Unbounded,
   IterationLimit,
   Numerical,
-  Aborted,        ///< checkpoint requested a stop (deadline / cancellation)
-  CutoffReached,  ///< checkpoint cut the solve off (objective dominated)
+  Aborted,  ///< checkpoint requested a stop (deadline / cancellation)
 };
 
 const char* to_string(SolveStatus s);
 
-/// True for the two checkpoint-interrupt statuses: the solve was told to
-/// stop (deadline/cancellation Abort, or a pruning Cutoff), it did not
-/// fail. Callers must not treat these as solver errors — no fallback,
-/// no retry, no "Failed" classification.
-inline bool is_interrupted(SolveStatus s) {
-  return s == SolveStatus::Aborted || s == SolveStatus::CutoffReached;
-}
-
-/// Verdict of a SolverOptions::checkpoint poll. The two abort flavours are
-/// kept apart so callers can tell "we ran out of time" (Abort -> Aborted)
-/// from "the answer no longer matters" (Cutoff -> CutoffReached): the first
-/// is a budget event, the second a pruning event, and the runtime maps them
-/// to different outcome classifications.
+/// Verdict of a SolverOptions::checkpoint poll. An Aborted solve was told
+/// to stop, it did not fail: callers must not treat it as a solver error —
+/// no fallback, no retry, no "Failed" classification.
 enum class CheckpointAction {
   Continue,
-  Abort,   ///< stop now; solve returns SolveStatus::Aborted
-  Cutoff,  ///< stop now; solve returns SolveStatus::CutoffReached
+  Abort,  ///< stop now; solve returns SolveStatus::Aborted
 };
 
 /// Entering-variable selection rule.
@@ -86,8 +74,8 @@ struct SolverOptions {
   bool scale = true;        ///< geometric-mean equilibration
 
   /// Cooperative mid-solve hook, polled every checkpoint_every simplex
-  /// iterations (both phases). Returning Abort/Cutoff makes the solve stop
-  /// within one checkpoint interval and report the matching status; the
+  /// iterations (both phases). Returning Abort makes the solve stop within
+  /// one checkpoint interval and report SolveStatus::Aborted; the
   /// partially-iterated state is discarded by callers (no Solution values
   /// are extracted for non-Optimal statuses). Null = never polled.
   std::function<CheckpointAction()> checkpoint;

@@ -1,7 +1,6 @@
 #include "net/server.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -34,11 +33,6 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 /// Extra flush grace after a timed-out drain cancelled the stragglers: the
 /// cancellation error frames still deserve a chance to reach their peers.
 constexpr double kDrainFlushGraceMs = 2'000.0;
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
 
 void set_nodelay(int fd) {
   int one = 1;

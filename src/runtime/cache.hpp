@@ -52,9 +52,6 @@ class ResultCache {
   /// entries always use one shard (exact LRU, and a per-shard capacity of
   /// a handful of entries would make eviction behaviour surprising).
   static constexpr std::size_t kMaxAutoShards = 16;
-  /// Deprecated alias (pre-auto-scaling name); the auto-pick no longer
-  /// uses a fixed 16 — see the constructor.
-  static constexpr std::size_t kDefaultShards = kMaxAutoShards;
   static constexpr std::size_t kShardThreshold = 256;
 
   /// \p capacity = max cached results across all shards; 0 disables

@@ -28,10 +28,12 @@
 ///     which strategies ran — never on timing — while tasks of *different*
 ///     groups still interleave freely and keep the pool saturated.
 ///  4. *Streaming delivery* — when the last strategy of a group finishes,
-///     the group's result is assembled, cached and delivered (leader
-///     first, then followers) through the batch callback; other requests
-///     keep running. No barrier: time-to-first-result is one request's
-///     solve time, not the whole batch's.
+///     the group's result is assembled, cached and handed (leader first,
+///     then followers) to the batch callback; other requests keep running.
+///     No barrier: time-to-first-result is one request's solve time, not
+///     the whole batch's. An infeasible instance (a target unreachable
+///     from the source) is not raced: it is delivered at once with every
+///     candidate Failed, and not cached.
 ///
 /// Budget semantics: deadlines are anchored when the batch enters the
 /// engine and enforced cooperatively at checkpoint granularity — between
@@ -39,7 +41,8 @@
 /// iterations inside an LP solve — so an expired deadline surfaces within
 /// one checkpoint interval. Nothing is ever killed mid-pivot.
 /// Cancellation is cooperative through the same checkpoints, per request
-/// (RequestOptions::cancel) or per batch (SolveTicket::cancel()).
+/// (RequestOptions::cancel) or per batch (the token the caller passes to
+/// submit_batch()).
 
 #include <cstddef>
 #include <functional>
@@ -69,10 +72,7 @@ struct EngineOptions {
 };
 
 /// Per-request knobs layered on top of EngineOptions::portfolio. This is
-/// the runtime mirror of the facade's pmcast::SolveRequest; the previous
-/// free-standing deadline_ms member was removed in favour of the one
-/// budget carrier (deprecated: RequestOptions::deadline_ms — use
-/// budget.deadline_ms, which also folds in the exact-solver limits).
+/// the runtime mirror of the facade's pmcast::SolveRequest.
 struct RequestOptions {
   /// Sentinel-aware budget merged over the engine default: deadline_ms 0,
   /// exact_max_nodes < 0 and exact_max_trees 0 each inherit. Careful:
@@ -81,7 +81,7 @@ struct RequestOptions {
   /// an engine configured differently. Use SolveBudget::inherit().
   SolveBudget budget = SolveBudget::inherit();
   /// Strategy allowlist; empty inherits the engine portfolio.
-  std::vector<Strategy> strategies;
+  std::vector<StrategyId> strategies;
   /// Higher-priority requests are dispatched to the pool first.
   int priority = 0;
   /// Cooperative cancellation; request_stop() makes not-yet-started
@@ -100,65 +100,38 @@ struct EngineBatchState;  // defined in engine.cpp
 struct EngineGroup;       // defined in engine.cpp
 }
 
-/// Streaming delivery: called once per request with its batch index, as
-/// results become available. Callbacks are serialized; cache hits fire on
-/// the submitting thread, the rest on whichever thread finishes a group's
-/// last strategy (the submitting thread itself when threads == 0). A
-/// callback must not block on its own ticket.
+/// Streaming delivery: called exactly once per request with its batch
+/// index, as results become available. The result is only borrowed for
+/// the call. Cache hits fire on the submitting thread, the rest on
+/// whichever thread finishes a group's last strategy (the submitting
+/// thread itself when threads == 0) — so calls for different requests may
+/// run concurrently, and the callback must be thread-safe. It must not
+/// block on its own batch.
 using BatchCallback =
     std::function<void(std::size_t index, const PortfolioResult& result)>;
-
-/// Handle to one in-flight batch. Copyable; copies share the state, which
-/// outlives the engine's interest in it (tasks hold shared ownership).
-class SolveTicket {
- public:
-  SolveTicket() = default;
-
-  bool valid() const { return state_ != nullptr; }
-  std::size_t size() const;
-  /// Results delivered so far.
-  std::size_t completed() const;
-  bool done() const;
-  /// Block until every result is delivered (including callbacks).
-  void wait();
-  /// Wait up to \p timeout_ms; true iff the batch completed.
-  bool wait_for(double timeout_ms);
-  /// Cooperatively cancel every request of the batch.
-  void cancel();
-  bool ready(std::size_t index) const;
-  /// Block until request \p index is delivered, then copy its result out.
-  PortfolioResult result(std::size_t index) const;
-  /// wait(), then move all results out (one-shot). Index-aligned. The
-  /// ticket stays done(); result(i) afterwards returns moved-from values.
-  std::vector<PortfolioResult> take_all();
-
- private:
-  friend class PortfolioEngine;
-  explicit SolveTicket(std::shared_ptr<detail::EngineBatchState> state)
-      : state_(std::move(state)) {}
-
-  std::shared_ptr<detail::EngineBatchState> state_;
-};
 
 class PortfolioEngine {
  public:
   explicit PortfolioEngine(EngineOptions options = {});
 
   /// Async-first entry point: dispatch the batch and return immediately
-  /// (with 0 worker threads everything runs inline first). Problems and
-  /// requests are copied into the batch state; the spans need not outlive
-  /// the call.
-  SolveTicket submit_batch(std::span<const core::MulticastProblem> problems,
-                           std::span<const RequestOptions> requests = {},
-                           BatchCallback on_result = {});
+  /// (with 0 worker threads everything runs inline first, in launch
+  /// order). Every request's result goes to \p on_result exactly once;
+  /// the engine keeps no copy beyond the cache. \p cancel stops the whole
+  /// batch cooperatively. Problems and requests are copied into the batch
+  /// state; the spans need not outlive the call. \p requests may be
+  /// shorter than \p problems — requests without a matching entry use the
+  /// engine defaults.
+  void submit_batch(std::span<const core::MulticastProblem> problems,
+                    std::span<const RequestOptions> requests,
+                    CancellationToken cancel, BatchCallback on_result);
 
   /// Solve one instance (cache-aware). Blocks until done.
   PortfolioResult solve(const core::MulticastProblem& problem,
                         const RequestOptions& request = {});
 
-  /// Blocking batch; results align index-for-index with \p problems.
-  /// \p requests may be empty or shorter than \p problems — requests
-  /// without a matching entry use the engine defaults.
+  /// Blocking batch (submit_batch() and a latch over its callback);
+  /// results align index-for-index with \p problems.
   std::vector<PortfolioResult> solve_batch(
       std::span<const core::MulticastProblem> problems,
       std::span<const RequestOptions> requests = {});

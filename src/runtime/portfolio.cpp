@@ -27,15 +27,6 @@ using core::MulticastProblem;
 /// `incumbent < scatter_ub * (1 - margin)` still proves strict dominance.
 constexpr double kDominanceMargin = 1e-4;
 
-/// Two certified periods within this *relative* distance are a tie, broken
-/// on launch order. This is the certification pipeline's own numeric
-/// tolerance: two candidates evaluating the same optimum can disagree by
-/// floating dust (observed ~1e-15 relative between an LP-derived bound and
-/// a schedule-derived period), and letting such dust pick the winner makes
-/// the result depend on whether a pruning cut stopped the later candidate —
-/// exactly the Det-vs-Off divergence the differential suite forbids.
-constexpr double kWinnerTieTol = 1e-9;
-
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
@@ -45,9 +36,9 @@ double ms_since(Clock::time_point start) {
 /// candidates can never beat the full-platform Multicast-UB LP value
 /// (scatter is monotone under node removal), which is what the
 /// scatter-bound dominance cut trades on.
-bool certifies_via_sub_scatter(Strategy strategy) {
-  return strategy == Strategy::ReducedBroadcast ||
-         strategy == Strategy::AugmentedMulticast;
+bool certifies_via_sub_scatter(StrategyId strategy) {
+  return strategy == StrategyId::ReducedBroadcast ||
+         strategy == StrategyId::AugmentedMulticast;
 }
 
 /// Early-win: a strategy launched before this one certified at (or below)
@@ -66,12 +57,6 @@ bool scatter_bound_cuts(const IncumbentSnapshot& snap) {
          snap.best_certified < snap.scatter_ub * (1.0 - kDominanceMargin);
 }
 
-/// The decision basis for a pruning predicate: the barrier-fenced stage
-/// snapshot under Deterministic, a live re-read under Aggressive.
-IncumbentSnapshot pruning_view(const StrategyEnv& env) {
-  return env.live && env.shared != nullptr ? env.shared->freeze() : env.view;
-}
-
 /// Which timeline event a finished strategy maps to.
 TraceEventKind terminal_event(const CandidateOutcome& out) {
   switch (out.state) {
@@ -84,34 +69,10 @@ TraceEventKind terminal_event(const CandidateOutcome& out) {
   return TraceEventKind::Failed;
 }
 
-/// Checkpoint-gap measurement state shared by every LP solve of one
-/// strategy. Allocated only when tracing is enabled, so a disabled tracer
-/// adds zero heap traffic to the hot path.
-struct CheckpointProbe {
-  Clock::time_point prev{};
-  bool first = true;
-};
-
-/// Record the latency since the previous LP checkpoint (and, once, the
-/// FirstLpCheckpoint timeline event). Called from inside the simplex
-/// checkpoint hook, i.e. every lp::SolverOptions::checkpoint_every
-/// iterations.
-void record_checkpoint(Tracer* tracer, CheckpointProbe* probe, int slot,
-                       std::uint8_t strategy) {
-  if (probe == nullptr) return;
-  const Clock::time_point now = Clock::now();
-  if (probe->first) {
-    probe->first = false;
-    tracer->event(TraceEventKind::FirstLpCheckpoint, slot, strategy, 0.0);
-  } else {
-    tracer->checkpoint_gap(
-        std::chrono::duration<double, std::micro>(now - probe->prev).count());
-  }
-  probe->prev = now;
-}
-
-/// Certify a tree candidate: rate 1/period saturates the bottleneck port,
-/// so the certificate's throughput reproduces 1/tree_period exactly.
+/// Certify a tree candidate: rate 1/period saturates the bottleneck port.
+/// The certificate validates the rationalised schedule, so its throughput
+/// reproduces 1/tree_period up to the rationalisation error (at most 1e-5
+/// relative; a period-68 tree certifies as 68.0004).
 void certify_tree(const MulticastProblem& problem,
                   const core::MulticastTree& tree, int simulate_periods,
                   CandidateOutcome& out) {
@@ -135,24 +96,16 @@ void certify_tree(const MulticastProblem& problem,
   out.period = 1.0 / cert.throughput;
 }
 
-/// Fill a Skipped outcome for a solve the checkpoints interrupted.
-/// Only a Cutoff verdict counts as a pruning cutoff_abort; a deadline or
-/// cancellation abort is a budget event, not pruning activity.
+/// Fill a Skipped outcome for work the budget checkpoints interrupted
+/// (\p where: "mid-solve" or "mid-heuristic").
 void mark_interrupted(CandidateOutcome& out, const BudgetGuard& guard,
-                      bool was_cutoff, SkipReason cut_reason) {
+                      const char* where) {
   out.state = CandidateState::Skipped;
-  if (was_cutoff) {
-    ++out.prune.cutoff_aborts;
-    out.skip_reason = cut_reason;
-    out.detail = cut_reason == SkipReason::EarlyWin
-                     ? "stopped mid-solve: incumbent met the proven LB"
-                     : "stopped mid-solve: dominated by the incumbent";
-  } else {
-    out.skip_reason =
-        guard.cancelled() ? SkipReason::Cancelled : SkipReason::DeadlineExpired;
-    out.detail = guard.cancelled() ? "cancelled mid-solve"
-                                   : "deadline expired mid-solve";
-  }
+  const bool cancelled = guard.cancelled();
+  out.skip_reason =
+      cancelled ? SkipReason::Cancelled : SkipReason::DeadlineExpired;
+  out.detail = std::string(cancelled ? "cancelled " : "deadline expired ") +
+               where;
 }
 
 /// Certify a scatter (Multicast-UB style) solution by reconstructing its
@@ -192,8 +145,7 @@ void certify_flow(const MulticastProblem& problem,
 void certify_platform(const MulticastProblem& problem,
                       const core::PlatformHeuristicResult& result,
                       const core::FormulationOptions& lp_options,
-                      const BudgetGuard& guard,
-                      const SkipReason* cut_reason, CandidateOutcome& out) {
+                      const BudgetGuard& guard, CandidateOutcome& out) {
   out.bound_period = result.period;
   if (!result.ok) {
     out.state = CandidateState::Failed;
@@ -226,13 +178,10 @@ void certify_platform(const MulticastProblem& problem,
     return;
   }
   core::FlowSolution ub = core::solve_multicast_ub(sub_problem, lp_options);
-  if (lp::is_interrupted(ub.status)) {
+  if (ub.status == lp::SolveStatus::Aborted) {
     out.lp.solves += 1;
     out.lp.iterations += ub.iterations;
-    mark_interrupted(out, guard, ub.status == lp::SolveStatus::CutoffReached,
-                     cut_reason != nullptr ? *cut_reason
-                                           : SkipReason::Dominated);
-    out.bound_period = result.period;
+    mark_interrupted(out, guard, "mid-solve");
     return;
   }
   certify_flow(sub_problem, ub, out);
@@ -253,22 +202,17 @@ void certify_platform(const MulticastProblem& problem,
 void run_exact_colgen(const MulticastProblem& problem,
                       const PortfolioOptions& options,
                       const BudgetGuard& guard,
-                      const std::function<bool()>& should_abort,
                       const std::function<lp::CheckpointAction()>& checkpoint,
-                      const SkipReason* cut_reason, CandidateOutcome& out) {
+                      CandidateOutcome& out) {
   core::ColumnGenLimits limits;
-  limits.should_abort = should_abort;
+  limits.should_abort = [&guard] { return guard.expired(); };
   limits.solver.checkpoint = checkpoint;
   core::ExactSolution cg = core::column_generation_throughput(problem, limits);
   out.lp.merge(cg.lp);
   // A budget stop with a usable anytime combination still certifies below;
-  // only a pruning cutoff (the incumbent dominates) or an abort before the
-  // first optimal master lands here.
-  if (cg.cutoff || (cg.aborted && !(cg.ok && cg.throughput > 0.0))) {
-    bool was_cut = cg.cutoff || !guard.expired();
-    mark_interrupted(out, guard, was_cut,
-                     cut_reason != nullptr ? *cut_reason
-                                           : SkipReason::Dominated);
+  // only an abort before the first optimal master lands here.
+  if (cg.aborted && !(cg.ok && cg.throughput > 0.0)) {
+    mark_interrupted(out, guard, "mid-solve");
     return;
   }
   if (!cg.ok || cg.throughput <= 0.0) {
@@ -296,9 +240,8 @@ void run_exact_colgen(const MulticastProblem& problem,
 
 void run_exact(const MulticastProblem& problem,
                const PortfolioOptions& options, const BudgetGuard& guard,
-               const std::function<bool()>& should_abort,
                const std::function<lp::CheckpointAction()>& checkpoint,
-               const SkipReason* cut_reason, CandidateOutcome& out) {
+               CandidateOutcome& out) {
   // Guard against sentinel-valued budgets (SolveBudget::inherit()) that
   // reach a solve without being resolve()d against engine defaults:
   // "inherit" must never mean "skip everything" / "enumerate nothing".
@@ -317,8 +260,7 @@ void run_exact(const MulticastProblem& problem,
                                ? options.budget.colgen_max_nodes
                                : defaults.colgen_max_nodes;
     if (problem.graph.node_count() <= colgen_max) {
-      run_exact_colgen(problem, options, guard, should_abort, checkpoint,
-                       cut_reason, out);
+      run_exact_colgen(problem, options, guard, checkpoint, out);
       return;
     }
     out.state = CandidateState::Skipped;
@@ -328,18 +270,13 @@ void run_exact(const MulticastProblem& problem,
   }
   core::EnumerationLimits limits;
   limits.max_trees = max_trees;
-  limits.should_abort = should_abort;
+  limits.should_abort = [&guard] { return guard.expired(); };
   limits.solver.checkpoint = checkpoint;
   core::ExactSolution exact = core::exact_optimal_throughput(problem, limits);
   out.lp.solves += exact.lp_iterations > 0 ? 1 : 0;
   out.lp.iterations += exact.lp_iterations;
-  if (exact.aborted || exact.cutoff) {
-    // The abort hook fires for budget *and* (Aggressive) early-win cuts;
-    // tell them apart the same way the LP checkpoints do.
-    bool was_cut = exact.cutoff || !guard.expired();
-    mark_interrupted(out, guard, was_cut,
-                     cut_reason != nullptr ? *cut_reason
-                                           : SkipReason::Dominated);
+  if (exact.aborted) {
+    mark_interrupted(out, guard, "mid-solve");
     return;
   }
   if (!exact.ok) {
@@ -363,35 +300,10 @@ void run_exact(const MulticastProblem& problem,
   out.period = 1.0 / cert.throughput;
 }
 
-}  // namespace
-
-const char* strategy_name(Strategy s) {
-  switch (s) {
-    case Strategy::Mcph: return "mcph";
-    case Strategy::PrunedDijkstra: return "pruned_dijkstra";
-    case Strategy::Kmb: return "kmb";
-    case Strategy::MulticastUb: return "multicast_ub";
-    case Strategy::AugmentedSources: return "augmented_sources";
-    case Strategy::ReducedBroadcast: return "reduced_broadcast";
-    case Strategy::AugmentedMulticast: return "augmented_multicast";
-    case Strategy::Exact: return "exact";
-  }
-  return "?";
-}
-
-std::vector<Strategy> all_strategies() {
-  return {Strategy::Mcph,             Strategy::PrunedDijkstra,
-          Strategy::Kmb,              Strategy::MulticastUb,
-          Strategy::AugmentedSources, Strategy::ReducedBroadcast,
-          Strategy::AugmentedMulticast, Strategy::Exact};
-}
-
-namespace {
-
 /// The body of run_strategy; the public wrapper adds the Launch/terminal
 /// timeline events around it so no early return can skip them.
 CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
-                                   Strategy strategy,
+                                   StrategyId strategy,
                                    const PortfolioOptions& options,
                                    const BudgetGuard& guard,
                                    const StrategyEnv* env, Tracer* tracer) {
@@ -406,10 +318,9 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
   }
 
   // --- start-of-strategy pruning checks (policy-gated) --------------------
-  const bool pruning = env != nullptr && env->shared != nullptr &&
-                       env->policy != PruningPolicy::Off;
+  const bool pruning = env != nullptr && env->shared != nullptr;
   if (pruning) {
-    IncumbentSnapshot snap = pruning_view(*env);
+    const IncumbentSnapshot& snap = env->view;
     const bool early_win = early_win_cuts(snap, env->launch_index);
     if (tracer != nullptr) {
       // Miss margin: how far the incumbent still is from the proven LB
@@ -444,116 +355,53 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
     }
   }
 
-  // --- cooperative hooks shared by every solve of this strategy -----------
-  // cut_reason records *why* a Cutoff verdict fired so the outcome can
-  // report Dominated vs EarlyWin; only the lambdas below write it.
-  auto cut_reason = std::make_shared<SkipReason>(SkipReason::Dominated);
-  const bool live = pruning && env->live;
   Incumbent* shared = pruning ? env->shared : nullptr;
   const int launch_index = env != nullptr ? env->launch_index : 0;
 
-  // Live dominance re-check (Aggressive): between probes and at solver
-  // checkpoints. Returns true when this strategy provably cannot win.
-  auto dominated_now = [shared, live, launch_index, strategy, cut_reason,
-                        tracer]() -> bool {
-    if (!live) return false;
-    IncumbentSnapshot snap = shared->freeze();
-    if (early_win_cuts(snap, launch_index)) {
-      *cut_reason = SkipReason::EarlyWin;
-      if (tracer != nullptr) {
-        tracer->predicate(CutPredicate::ProbePoll, true, 0.0);
-      }
-      return true;
-    }
-    if (certifies_via_sub_scatter(strategy) && scatter_bound_cuts(snap)) {
-      *cut_reason = SkipReason::Dominated;
-      if (tracer != nullptr) {
-        tracer->predicate(CutPredicate::ProbePoll, true, 0.0);
-      }
-      return true;
-    }
-    if (tracer != nullptr) {
-      tracer->predicate(CutPredicate::ProbePoll, false,
-                        snap.proven_lb > 0.0
-                            ? snap.best_certified - snap.proven_lb
-                            : kInfinity);
-    }
-    return false;
-  };
-
-  // Checkpoint-gap measurement (and the FirstLpCheckpoint event) for the
-  // latency histogram; heap-free unless tracing is on.
-  std::shared_ptr<CheckpointProbe> probe;
-  if (tracer != nullptr && tracer->enabled()) {
-    probe = std::make_shared<CheckpointProbe>();
-  }
-  auto checkpoint = [&guard, dominated_now, tracer, probe, launch_index,
-                     strategy]() -> lp::CheckpointAction {
-    record_checkpoint(tracer, probe.get(), launch_index,
-                      static_cast<std::uint8_t>(strategy));
-    if (guard.expired()) return lp::CheckpointAction::Abort;
-    if (dominated_now()) return lp::CheckpointAction::Cutoff;
-    return lp::CheckpointAction::Continue;
-  };
-  auto should_abort = [&guard]() { return guard.expired(); };
-
   core::FormulationOptions lp_options;
-  lp_options.solver.checkpoint = checkpoint;
+  lp_options.solver.checkpoint = lp_checkpoint(
+      guard, tracer, launch_index, static_cast<std::uint8_t>(strategy));
   core::HeuristicOptions heuristic_options;
   heuristic_options.lp = lp_options;
-  heuristic_options.control.should_abort = should_abort;
-  heuristic_options.control.dominated = dominated_now;
+  heuristic_options.control.should_abort = [&guard] {
+    return guard.expired();
+  };
   if (pruning) {
     // LB-convergence cut for the greedy descents: once the heuristic's
     // current accepted period meets the proven lower bound, no remaining
     // probe can be accepted (acceptance is strict improvement, achievable
     // periods are >= the bound), so the rest of the descent is skipped.
-    // Under Deterministic the view is the barrier-fenced stage snapshot
-    // and the trajectory is a pure function of the instance, so the cut
-    // fires identically across thread counts.
-    const StrategyEnv* env_ptr = env;
-    heuristic_options.control.converged = [env_ptr,
+    // The view is the barrier-fenced stage snapshot and the trajectory is
+    // a pure function of the instance, so the cut fires identically across
+    // thread counts.
+    const IncumbentSnapshot* view = &env->view;
+    heuristic_options.control.converged = [view,
                                            tracer](double current) -> bool {
-      IncumbentSnapshot snap = pruning_view(*env_ptr);
-      const bool hit = snap.proven_lb > 0.0 && current <= snap.proven_lb;
+      const bool hit = view->proven_lb > 0.0 && current <= view->proven_lb;
       if (tracer != nullptr) {
         tracer->predicate(CutPredicate::ProbePoll, hit,
-                          snap.proven_lb > 0.0 ? current - snap.proven_lb
-                                               : kInfinity);
+                          view->proven_lb > 0.0 ? current - view->proven_lb
+                                                : kInfinity);
       }
       return hit;
     };
   }
 
-  // Map a heuristic's abort/prune flags onto the outcome. Returns true
-  // when the strategy was interrupted and must not be certified.
-  auto finish_heuristic = [&](bool aborted, bool pruned, int probes_skipped,
-                              int cutoff_aborts) {
+  // Map a heuristic's abort flag onto the outcome. Returns true when the
+  // strategy was interrupted and must not be certified.
+  auto finish_heuristic = [&](bool aborted, int probes_skipped) {
     out.prune.probes_skipped += probes_skipped;
-    out.prune.cutoff_aborts += cutoff_aborts;
-    if (!aborted && !pruned) return false;
-    out.state = CandidateState::Skipped;
-    if (aborted) {
-      out.skip_reason = guard.cancelled() ? SkipReason::Cancelled
-                                          : SkipReason::DeadlineExpired;
-      out.detail = guard.cancelled() ? "cancelled mid-heuristic"
-                                     : "deadline expired mid-heuristic";
-    } else {
-      out.skip_reason = *cut_reason;
-      out.detail = *cut_reason == SkipReason::EarlyWin
-                       ? "pruned mid-heuristic: incumbent met the proven LB"
-                       : "pruned mid-heuristic: dominated by the incumbent";
-    }
-    return true;
+    if (aborted) mark_interrupted(out, guard, "mid-heuristic");
+    return aborted;
   };
 
   Clock::time_point start = Clock::now();
   switch (strategy) {
-    case Strategy::Mcph:
-    case Strategy::PrunedDijkstra:
-    case Strategy::Kmb: {
-      auto tree = strategy == Strategy::Mcph ? core::mcph(problem)
-                  : strategy == Strategy::PrunedDijkstra
+    case StrategyId::Mcph:
+    case StrategyId::PrunedDijkstra:
+    case StrategyId::Kmb: {
+      auto tree = strategy == StrategyId::Mcph ? core::mcph(problem)
+                  : strategy == StrategyId::PrunedDijkstra
                       ? core::pruned_dijkstra(problem)
                       : core::kmb(problem);
       if (!tree) {
@@ -564,34 +412,30 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
       }
       break;
     }
-    case Strategy::MulticastUb: {
+    case StrategyId::MulticastUb: {
       core::FlowSolution ub = core::solve_multicast_ub(problem, lp_options);
-      if (lp::is_interrupted(ub.status)) {
+      if (ub.status == lp::SolveStatus::Aborted) {
         out.lp.solves += 1;
         out.lp.iterations += ub.iterations;
         // bound_period keeps its "no bound" default: an interrupted solve
         // never assigned ub.period, which still holds FlowSolution's 0.0.
-        mark_interrupted(out, guard,
-                         ub.status == lp::SolveStatus::CutoffReached,
-                         *cut_reason);
+        mark_interrupted(out, guard, "mid-solve");
         break;
       }
       if (ub.ok() && shared != nullptr) {
         // The full-platform scatter LP value: the dominance reference for
-        // the sub-scatter strategies. Published before certification so an
-        // Aggressive race benefits as early as possible.
+        // the sub-scatter strategies of the next stage.
         shared->publish_scatter_ub(ub.period);
       }
       if (pruning && ub.ok()) {
         // The certified value equals the LP value up to rationalisation
         // dust, so an incumbent strictly below the margined bound makes
         // the schedule reconstruction pointless.
-        IncumbentSnapshot snap = pruning_view(*env);
         const double threshold = ub.period * (1.0 - kDominanceMargin);
-        const bool cut = snap.best_certified < threshold;
+        const bool cut = env->view.best_certified < threshold;
         if (tracer != nullptr) {
           tracer->predicate(CutPredicate::ReconstructSkip, cut,
-                            snap.best_certified - threshold);
+                            env->view.best_certified - threshold);
         }
         if (cut) {
           out.lp.solves += 1;
@@ -607,14 +451,11 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
       certify_flow(problem, ub, out);
       break;
     }
-    case Strategy::AugmentedSources: {
+    case StrategyId::AugmentedSources: {
       auto as = core::augmented_sources(problem, heuristic_options);
       out.bound_period = as.period;
       out.lp.merge(as.lp_stats);
-      if (finish_heuristic(as.aborted, as.pruned, as.probes_skipped,
-                           as.cutoff_aborts)) {
-        break;
-      }
+      if (finish_heuristic(as.aborted, as.probes_skipped)) break;
       if (!as.ok) {
         out.state = CandidateState::Failed;
         out.detail = "augmented_sources failed";
@@ -638,37 +479,22 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
       out.period = fs.period;
       break;
     }
-    case Strategy::ReducedBroadcast: {
-      auto rb = core::reduced_broadcast(problem, heuristic_options);
-      out.lp.merge(rb.lp_stats);
-      if (finish_heuristic(rb.aborted, rb.pruned, rb.probes_skipped,
-                           rb.cutoff_aborts)) {
-        out.bound_period = rb.period;
+    case StrategyId::ReducedBroadcast:
+    case StrategyId::AugmentedMulticast: {
+      auto platform = strategy == StrategyId::ReducedBroadcast
+                          ? core::reduced_broadcast(problem, heuristic_options)
+                          : core::augmented_multicast(problem,
+                                                      heuristic_options);
+      out.lp.merge(platform.lp_stats);
+      if (finish_heuristic(platform.aborted, platform.probes_skipped)) {
+        out.bound_period = platform.period;
         break;
       }
-      certify_platform(problem, rb, lp_options, guard, cut_reason.get(), out);
+      certify_platform(problem, platform, lp_options, guard, out);
       break;
     }
-    case Strategy::AugmentedMulticast: {
-      auto am = core::augmented_multicast(problem, heuristic_options);
-      out.lp.merge(am.lp_stats);
-      if (finish_heuristic(am.aborted, am.pruned, am.probes_skipped,
-                           am.cutoff_aborts)) {
-        out.bound_period = am.period;
-        break;
-      }
-      certify_platform(problem, am, lp_options, guard, cut_reason.get(), out);
-      break;
-    }
-    case Strategy::Exact:
-      run_exact(problem, options, guard,
-                [&guard, dominated_now, cut_reason]() {
-                  // The enumerator has no Cutoff channel of its own; the
-                  // shared cut_reason (set by dominated_now) tells the
-                  // classifier which event stopped it.
-                  return guard.expired() || dominated_now();
-                },
-                checkpoint, cut_reason.get(), out);
+    case StrategyId::Exact:
+      run_exact(problem, options, guard, lp_options.solver.checkpoint, out);
       break;
   }
   out.elapsed_ms = ms_since(start);
@@ -682,8 +508,40 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
 
 }  // namespace
 
+std::function<lp::CheckpointAction()> lp_checkpoint(const BudgetGuard& guard,
+                                                    Tracer* tracer, int slot,
+                                                    std::uint8_t strategy) {
+  if (tracer == nullptr || !tracer->enabled()) {
+    return [&guard] {
+      return guard.expired() ? lp::CheckpointAction::Abort
+                             : lp::CheckpointAction::Continue;
+    };
+  }
+  // Checkpoint-gap state shared by every LP solve the hook serves; only
+  // allocated when tracing is on, so a disabled tracer adds no heap
+  // traffic to the hot path.
+  struct Gap {
+    Clock::time_point prev{};
+    bool first = true;
+  };
+  auto gap = std::make_shared<Gap>();
+  return [&guard, tracer, slot, strategy, gap] {
+    const Clock::time_point now = Clock::now();
+    if (gap->first) {
+      gap->first = false;
+      tracer->event(TraceEventKind::FirstLpCheckpoint, slot, strategy, 0.0);
+    } else {
+      tracer->checkpoint_gap(
+          std::chrono::duration<double, std::micro>(now - gap->prev).count());
+    }
+    gap->prev = now;
+    return guard.expired() ? lp::CheckpointAction::Abort
+                           : lp::CheckpointAction::Continue;
+  };
+}
+
 CandidateOutcome run_strategy(const core::MulticastProblem& problem,
-                              Strategy strategy,
+                              StrategyId strategy,
                               const PortfolioOptions& options,
                               const BudgetGuard& guard,
                               const StrategyEnv* env) {
@@ -706,213 +564,21 @@ CandidateOutcome run_strategy(const core::MulticastProblem& problem,
   return out;
 }
 
-int strategy_stage(Strategy strategy) {
+int strategy_stage(StrategyId strategy) {
   switch (strategy) {
-    case Strategy::Mcph:
-    case Strategy::PrunedDijkstra:
-    case Strategy::Kmb:
+    case StrategyId::Mcph:
+    case StrategyId::PrunedDijkstra:
+    case StrategyId::Kmb:
       return 0;
-    case Strategy::MulticastUb:
-    case Strategy::Exact:
+    case StrategyId::MulticastUb:
+    case StrategyId::Exact:
       return 1;
-    case Strategy::AugmentedSources:
-    case Strategy::ReducedBroadcast:
-    case Strategy::AugmentedMulticast:
+    case StrategyId::AugmentedSources:
+    case StrategyId::ReducedBroadcast:
+    case StrategyId::AugmentedMulticast:
       return 2;
   }
   return 2;
-}
-
-PortfolioResult assemble_result(std::vector<CandidateOutcome> candidates) {
-  PortfolioResult result;
-  result.candidates = std::move(candidates);
-  for (const CandidateOutcome& c : result.candidates) {
-    if (c.state == CandidateState::Certified) {
-      // A later candidate must improve by more than the tie tolerance to
-      // displace the incumbent winner: exact ties AND sub-tolerance dust
-      // stay on the earlier (cheaper) strategy, which makes the winner
-      // independent of completion order, thread count, and whether a
-      // pruning cut stopped a candidate that could only tie.
-      if (c.period < result.period * (1.0 - kWinnerTieTol)) {
-        result.period = c.period;
-        result.winner = c.strategy;
-        result.ok = true;
-      }
-    } else if (c.state == CandidateState::Skipped) {
-      if (c.skip_reason == SkipReason::Dominated) {
-        ++result.pruning.strategies_pruned;
-      } else if (c.skip_reason == SkipReason::EarlyWin) {
-        ++result.pruning.early_win_cancels;
-      }
-    }
-    result.pruning.probes_skipped += c.prune.probes_skipped;
-    result.pruning.cutoff_aborts += c.prune.cutoff_aborts;
-  }
-  return result;
-}
-
-std::vector<std::vector<std::size_t>> plan_stages(
-    const std::vector<Strategy>& strategies, PruningPolicy policy) {
-  std::vector<std::vector<std::size_t>> stages;
-  if (policy == PruningPolicy::Deterministic) {
-    stages.assign(3, {});
-    for (std::size_t i = 0; i < strategies.size(); ++i) {
-      stages[static_cast<std::size_t>(strategy_stage(strategies[i]))]
-          .push_back(i);
-    }
-    std::erase_if(stages, [](const auto& s) { return s.empty(); });
-  } else {
-    stages.emplace_back(strategies.size());
-    for (std::size_t i = 0; i < strategies.size(); ++i) stages[0][i] = i;
-  }
-  return stages;
-}
-
-long long run_lb_probe(const MulticastProblem& problem,
-                       const BudgetGuard& guard, Incumbent& incumbent,
-                       Tracer* tracer) {
-  core::FormulationOptions lp_options;
-  std::shared_ptr<CheckpointProbe> probe;
-  if (tracer != nullptr && tracer->enabled()) {
-    probe = std::make_shared<CheckpointProbe>();
-  }
-  lp_options.solver.checkpoint = [&guard, tracer,
-                                  probe]() -> lp::CheckpointAction {
-    if (probe != nullptr) {
-      // The LB probe has no strategy slot; it only feeds the latency
-      // histogram (slot -1 makes the event a no-op).
-      record_checkpoint(tracer, probe.get(), /*slot=*/-1, /*strategy=*/0xFF);
-    }
-    return guard.expired() ? lp::CheckpointAction::Abort
-                           : lp::CheckpointAction::Continue;
-  };
-  core::FlowSolution lb = core::solve_multicast_lb(problem, lp_options);
-  if (lb.ok()) {
-    // Publish the LP value as reported. An earlier revision deflated it by
-    // 1e-7 to guard against the simplex overshooting the true optimum by
-    // tolerance dust — but certified periods are *achievable*, hence >=
-    // the true lower bound, so the deflation made "certified <= proven_lb"
-    // (the early-win predicate) unsatisfiable on every instance: the cut
-    // was dead code, confirmed by the tracer's miss margins clustering at
-    // exactly lb * 1e-7. Overshoot dust is bounded by fp rounding of the
-    // objective evaluation (~1e-13 relative), far below the 1e-9
-    // acceptance tolerance the heuristics use, and the differential suite
-    // (Deterministic vs Off bit-identity on the golden corpus) guards the
-    // soundness empirically.
-    incumbent.publish_lower_bound(lb.period);
-  }
-  return lb.iterations;
-}
-
-void prepare_stage_envs(const std::vector<std::size_t>& stage,
-                        PruningPolicy policy, Incumbent& incumbent,
-                        const IncumbentSnapshot& view,
-                        std::vector<StrategyEnv>& envs, Tracer* tracer) {
-  for (std::size_t s : stage) {
-    StrategyEnv& env = envs[s];
-    env.shared = policy != PruningPolicy::Off ? &incumbent : nullptr;
-    env.view = view;
-    env.live = policy == PruningPolicy::Aggressive;
-    env.policy = policy;
-    env.launch_index = static_cast<int>(s);
-    env.tracer = tracer != nullptr && tracer->enabled() ? tracer : nullptr;
-  }
-}
-
-void republish_stage(const std::vector<std::size_t>& stage,
-                     const std::vector<CandidateOutcome>& outcomes,
-                     Incumbent& incumbent) {
-  for (std::size_t s : stage) {
-    if (outcomes[s].state == CandidateState::Certified) {
-      incumbent.publish_certified(outcomes[s].period, static_cast<int>(s));
-    }
-  }
-}
-
-PortfolioResult solve_portfolio(const core::MulticastProblem& problem,
-                                const PortfolioOptions& options,
-                                ThreadPool* pool, CancellationToken cancel) {
-  Clock::time_point start = Clock::now();
-  BudgetGuard guard;
-  guard.deadline = options.budget.deadline_from(start);
-  guard.cancel = cancel;
-  std::vector<Strategy> strategies =
-      options.strategies.empty() ? all_strategies() : options.strategies;
-
-  std::vector<CandidateOutcome> outcomes(strategies.size());
-  if (!problem.feasible()) {
-    for (size_t i = 0; i < strategies.size(); ++i) {
-      outcomes[i].strategy = strategies[i];
-      outcomes[i].state = CandidateState::Failed;
-      outcomes[i].detail = "infeasible instance: unreachable target";
-    }
-    PortfolioResult result = assemble_result(std::move(outcomes));
-    result.elapsed_ms = ms_since(start);
-    return result;
-  }
-
-  const PruningPolicy policy = options.pruning;
-  Incumbent incumbent;
-  long long lb_probe_iterations = 0;
-  if (policy != PruningPolicy::Off && options.known_lower_bound > 0.0) {
-    incumbent.publish_lower_bound(options.known_lower_bound);
-  }
-
-  // Stage plan: Off/Aggressive run one flat stage (the blind fan-out);
-  // Deterministic runs the three launch stages with a barrier after each,
-  // so every pruning decision reads a snapshot that depends only on which
-  // strategies ran before it — never on timing or thread count.
-  std::vector<std::vector<size_t>> stages = plan_stages(strategies, policy);
-
-  // The race-wide tracer lives on this frame; Counters detail allocates
-  // nothing, Timeline sizes one event buffer per strategy slot.
-  Tracer tracer(options.trace, strategies.size());
-
-  std::vector<StrategyEnv> envs(strategies.size());
-  bool lb_probe_pending = policy != PruningPolicy::Off;
-  for (const auto& stage : stages) {
-    IncumbentSnapshot view = incumbent.freeze();
-    prepare_stage_envs(stage, policy, incumbent, view, envs, &tracer);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(stage.size() + 1);
-    if (lb_probe_pending) {
-      // The LB probe rides along with the first stage (trees for the
-      // deterministic plan), so its bound is in every later snapshot —
-      // and it goes FIRST: under Aggressive (no barrier re-publish) a
-      // certification that lands before the bound can never raise the
-      // early-win signal, so the inline/1-thread orders matter.
-      lb_probe_pending = false;
-      tasks.push_back([&] {
-        lb_probe_iterations += run_lb_probe(problem, guard, incumbent,
-                                            &tracer);
-      });
-    }
-    for (size_t i : stage) {
-      tasks.push_back([&, i] {
-        outcomes[i] =
-            run_strategy(problem, strategies[i], options, guard, &envs[i]);
-      });
-    }
-
-    if (pool == nullptr) {
-      for (auto& task : tasks) task();
-    } else {
-      pool->run_all(std::move(tasks));
-    }
-
-    if (policy == PruningPolicy::Deterministic) {
-      // Re-publish behind the barrier: a strategy that certified before
-      // the LB probe landed gets its early-win signal honoured now.
-      republish_stage(stage, outcomes, incumbent);
-    }
-  }
-
-  PortfolioResult result = assemble_result(std::move(outcomes));
-  result.pruning.lb_probe_iterations = lb_probe_iterations;
-  result.pruning.proven_lb = incumbent.proven_lb();
-  result.trace = tracer.summary();
-  result.elapsed_ms = ms_since(start);
-  return result;
 }
 
 }  // namespace pmcast::runtime

@@ -31,38 +31,28 @@
 /// candidate meets the proven Multicast-LB lower bound, and deadlines
 /// interrupt LP solves mid-flight through the simplex checkpoint hook.
 /// Every cut is sound (the pruned work provably could not have changed
-/// the winner or its period); Deterministic additionally stages the race
-/// behind barriers so even the per-candidate outcomes are bit-identical
-/// across thread counts.
+/// the winner or its period), and Deterministic stages the race behind
+/// barriers so even the per-candidate outcomes are bit-identical across
+/// thread counts.
+///
+/// Strategies, policies and pruning counters are the public value types of
+/// pmcast/strategy.hpp and pmcast/response.hpp; PortfolioEngine
+/// (runtime/engine.hpp) orchestrates the race.
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/problem.hpp"
 #include "lp/resolve.hpp"
+#include "pmcast/response.hpp"
+#include "pmcast/strategy.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/incumbent.hpp"
-#include "runtime/thread_pool.hpp"
 #include "runtime/trace.hpp"
 
 namespace pmcast::runtime {
-
-enum class Strategy {
-  Mcph = 0,            ///< paper Fig. 9 tree heuristic
-  PrunedDijkstra,      ///< Steiner baseline
-  Kmb,                 ///< Steiner baseline (distance network)
-  MulticastUb,         ///< LP scatter bound, always reconstructible
-  AugmentedSources,    ///< paper Fig. 8 multisource heuristic
-  ReducedBroadcast,    ///< paper Fig. 6 platform heuristic
-  AugmentedMulticast,  ///< paper Fig. 7 platform heuristic
-  Exact,               ///< tree-enumeration LP (small instances only)
-};
-
-const char* strategy_name(Strategy s);
-
-/// All strategies in launch order: cheap and certain first, so tight
-/// budgets still produce a certified answer.
-std::vector<Strategy> all_strategies();
 
 enum class CandidateState {
   Certified,  ///< period realised as a schedule and validated
@@ -75,8 +65,6 @@ enum class CandidateState {
 /// facade's Status classification) never have to match detail strings.
 enum class SkipReason {
   NotSkipped = 0,
-  Budget,            ///< unspecified budget event (kept for compatibility;
-                     ///< new code reports DeadlineExpired / Cancelled)
   Inapplicable,      ///< strategy doesn't apply (instance above exact size)
   EnumerationLimit,  ///< exact solver hit its tree-enumeration cap
   DeadlineExpired,   ///< wall-clock deadline hit, possibly mid-LP-solve
@@ -90,14 +78,8 @@ inline bool is_pruned(SkipReason reason) {
   return reason == SkipReason::Dominated || reason == SkipReason::EarlyWin;
 }
 
-/// Per-candidate cooperative-pruning counters.
-struct PruneCounters {
-  int probes_skipped = 0;  ///< heuristic probes not run (dominance/early-win)
-  int cutoff_aborts = 0;   ///< LP solves stopped mid-flight by a checkpoint
-};
-
 struct CandidateOutcome {
-  Strategy strategy = Strategy::Mcph;
+  StrategyId strategy = StrategyId::Mcph;
   CandidateState state = CandidateState::Skipped;
   SkipReason skip_reason = SkipReason::NotSkipped;
   double period = kInfinity;        ///< certified period (time per multicast)
@@ -111,8 +93,8 @@ struct CandidateOutcome {
 };
 
 struct PortfolioOptions {
-  /// Strategies to race; empty means all_strategies().
-  std::vector<Strategy> strategies;
+  /// Strategies to race; empty means all_strategy_ids().
+  std::vector<StrategyId> strategies;
   SolveBudget budget;
   /// Extra discrete-event replay periods for tree certificates (0 = the
   /// static checks only; they already include the König orchestration).
@@ -129,21 +111,10 @@ struct PortfolioOptions {
   TraceDetail trace = TraceDetail::Counters;
 };
 
-/// Race-level pruning summary, aggregated over the candidates.
-struct PruningSummary {
-  int strategies_pruned = 0;   ///< candidates skipped as Dominated
-  int early_win_cancels = 0;   ///< candidates skipped/stopped as EarlyWin
-  int probes_skipped = 0;      ///< heuristic probes not run
-  int cutoff_aborts = 0;       ///< LP solves stopped by a cutoff checkpoint
-  long long lb_probe_iterations = 0;  ///< simplex iterations spent proving
-                                      ///< the Multicast-LB lower bound
-  double proven_lb = 0.0;      ///< best proven lower bound (0 = none)
-};
-
 struct PortfolioResult {
   bool ok = false;             ///< at least one strategy certified
   double period = kInfinity;   ///< best certified period
-  Strategy winner = Strategy::Mcph;
+  StrategyId winner = StrategyId::Mcph;
   std::vector<CandidateOutcome> candidates;  ///< indexed by launch order
   PruningSummary pruning;
   /// What the tracer recorded for this race (detail == Off when tracing
@@ -155,15 +126,12 @@ struct PortfolioResult {
 };
 
 /// The cooperative-pruning environment of one run_strategy call. `view` is
-/// the decision basis for start-of-strategy checks; with `live` set
-/// (Aggressive) predicates re-read `shared` between probes and at solver
-/// checkpoints. `shared` is also where a finishing strategy publishes its
-/// bounds; null disables pruning entirely (deadline checkpoints remain).
+/// the barrier-fenced snapshot every pruning predicate reads. `shared` is
+/// where a finishing strategy publishes its bounds; null (PruningPolicy::
+/// Off) disables pruning entirely (deadline checkpoints remain).
 struct StrategyEnv {
   Incumbent* shared = nullptr;
   IncumbentSnapshot view;
-  bool live = false;
-  PruningPolicy policy = PruningPolicy::Off;
   int launch_index = 0;
   /// Race-wide tracer (null or disabled = record nothing). Shared by all
   /// strategies of the race; each strategy owns its launch-index slot.
@@ -176,7 +144,7 @@ struct StrategyEnv {
 /// the strategy return Skipped/DeadlineExpired within one checkpoint
 /// interval instead of running the solve to completion.
 CandidateOutcome run_strategy(const core::MulticastProblem& problem,
-                              Strategy strategy,
+                              StrategyId strategy,
                               const PortfolioOptions& options,
                               const BudgetGuard& guard,
                               const StrategyEnv* env = nullptr);
@@ -186,50 +154,16 @@ CandidateOutcome run_strategy(const core::MulticastProblem& problem,
 /// heuristics. PruningPolicy::Deterministic runs the race stage by stage
 /// (a barrier between stages) so pruning decisions depend only on which
 /// strategies ran, never on timing.
-int strategy_stage(Strategy strategy);
+int strategy_stage(StrategyId strategy);
 
-/// The stage plan for one race: indices into \p strategies, grouped by
-/// strategy_stage() with empty stages dropped under Deterministic, one
-/// flat stage under Off/Aggressive. Shared by solve_portfolio and the
-/// engine so the two orchestrators cannot drift (the differential suite
-/// compares their results).
-std::vector<std::vector<std::size_t>> plan_stages(
-    const std::vector<Strategy>& strategies, PruningPolicy policy);
-
-/// Solve Multicast-LB of \p problem (deadline-checkpointed through
-/// \p guard) and publish the value as \p incumbent's proven lower bound —
-/// the one extra LP a pruning race pays. Returns the simplex iterations
-/// spent.
-long long run_lb_probe(const core::MulticastProblem& problem,
-                       const BudgetGuard& guard, Incumbent& incumbent,
-                       Tracer* tracer = nullptr);
-
-/// Populate the StrategyEnv slots of one stage from a freshly frozen
-/// snapshot (\p envs is indexed by strategy slot, like the outcomes).
-/// Shared by solve_portfolio and the engine.
-void prepare_stage_envs(const std::vector<std::size_t>& stage,
-                        PruningPolicy policy, Incumbent& incumbent,
-                        const IncumbentSnapshot& view,
-                        std::vector<StrategyEnv>& envs,
-                        Tracer* tracer = nullptr);
-
-/// Barrier re-publish of a completed stage's certified outcomes into the
-/// incumbent, so a certification that raced the LB probe still raises its
-/// early-win signal. Monotone, hence idempotent; callers gate on
-/// PruningPolicy::Deterministic (Aggressive publishes live).
-void republish_stage(const std::vector<std::size_t>& stage,
-                     const std::vector<CandidateOutcome>& outcomes,
-                     Incumbent& incumbent);
-
-/// Pick winner/ok/period out of completed candidate slots and aggregate
-/// the per-candidate pruning counters.
-PortfolioResult assemble_result(std::vector<CandidateOutcome> candidates);
-
-/// Race the portfolio on \p pool (nullptr = run inline on the caller).
-/// Blocks until every strategy has finished or been skipped.
-PortfolioResult solve_portfolio(const core::MulticastProblem& problem,
-                                const PortfolioOptions& options = {},
-                                ThreadPool* pool = nullptr,
-                                CancellationToken cancel = {});
+/// The lp::SolverOptions::checkpoint hook of one LP solve sequence (a
+/// strategy, or the race's Multicast-LB probe): Abort once \p guard has
+/// expired. With an enabled \p tracer it also records the gap between
+/// consecutive checkpoints and, once, the FirstLpCheckpoint event of
+/// \p slot (a negative slot records no event). \p guard and \p tracer
+/// must outlive the hook.
+std::function<lp::CheckpointAction()> lp_checkpoint(const BudgetGuard& guard,
+                                                    Tracer* tracer, int slot,
+                                                    std::uint8_t strategy);
 
 }  // namespace pmcast::runtime

@@ -5,20 +5,16 @@
 ///
 ///   ThreadPool       — work-stealing pool (thread_pool.hpp)
 ///   SolveBudget / CancellationToken — budget control (budget.hpp)
-///   Strategy / solve_portfolio — race all solvers, certify, pick the best
-///                      (portfolio.hpp)
-///   Incumbent / PruningPolicy — shared bounds + cooperative pruning of
+///   run_strategy     — run and certify one solver strategy (portfolio.hpp)
+///   Incumbent        — shared bounds for cooperative pruning of
 ///                      provably-dominated work (incumbent.hpp)
 ///   ResultCache      — sharded LRU over canonical instance keys (cache.hpp)
-///   PortfolioEngine  — batch serving: cache probe, request coalescing,
-///                      strategy fan-out (engine.hpp)
+///   PortfolioEngine  — the race: cache probe, request coalescing,
+///                      staged strategy fan-out, streaming delivery
+///                      (engine.hpp)
 ///   Tracer / TraceSummary — always-on tracing/profiling: cut-predicate
 ///                      accounting, checkpoint latency, timelines (trace.hpp)
 ///
-/// Quickstart:
-///   runtime::PortfolioEngine engine({.threads = 8});
-///   runtime::PortfolioResult r = engine.solve(problem);
-///   if (r.ok) use(r.period);  // certificate-validated
 /// See DESIGN_RUNTIME.md for the architecture notes.
 
 #include "runtime/budget.hpp"

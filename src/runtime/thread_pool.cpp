@@ -1,7 +1,6 @@
 #include "runtime/thread_pool.hpp"
 
 #include <cassert>
-#include <condition_variable>
 #include <utility>
 
 namespace pmcast::runtime {
@@ -63,26 +62,6 @@ void ThreadPool::submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(sleep_mutex_);
   }
   sleep_cv_.notify_one();
-}
-
-void ThreadPool::run_all(std::vector<std::function<void()>> tasks) {
-  if (queues_.empty()) {
-    for (auto& task : tasks) task();
-    return;
-  }
-  assert(t_pool != this && "run_all from inside a pool task would deadlock");
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  std::size_t remaining = tasks.size();
-  for (auto& task : tasks) {
-    submit([&mutex, &done_cv, &remaining, task = std::move(task)] {
-      task();
-      std::lock_guard<std::mutex> lock(mutex);
-      if (--remaining == 0) done_cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mutex);
-  done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
 std::size_t ThreadPool::pending() const {

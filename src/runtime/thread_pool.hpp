@@ -40,12 +40,6 @@ class ThreadPool {
   /// task then goes to the calling worker's own deque).
   void submit(std::function<void()> task);
 
-  /// Enqueue every task and block until all of them have run. With no
-  /// workers the tasks run inline, in order — the shared "fan out and
-  /// wait" path of the portfolio and engine layers. Must not be called
-  /// from inside a pool task (a worker waiting on workers can deadlock).
-  void run_all(std::vector<std::function<void()>> tasks);
-
   int thread_count() const { return static_cast<int>(workers_.size()); }
 
   /// Tasks submitted and not yet finished (approximate; for tests/stats).

@@ -24,33 +24,12 @@ int gap_bucket(double gap_us) {
 
 }  // namespace
 
-const char* trace_detail_name(TraceDetail detail) {
-  switch (detail) {
-    case TraceDetail::Off: return "off";
-    case TraceDetail::Counters: return "counters";
-    case TraceDetail::Timeline: return "timeline";
-  }
-  return "?";
-}
-
 const char* cut_predicate_name(CutPredicate predicate) {
   switch (predicate) {
     case CutPredicate::SubScatter: return "sub_scatter";
     case CutPredicate::EarlyWin: return "early_win";
     case CutPredicate::ProbePoll: return "probe_poll";
     case CutPredicate::ReconstructSkip: return "reconstruct_skip";
-  }
-  return "?";
-}
-
-const char* trace_event_name(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::Launch: return "launch";
-    case TraceEventKind::FirstLpCheckpoint: return "first_lp_checkpoint";
-    case TraceEventKind::Certified: return "certified";
-    case TraceEventKind::Pruned: return "pruned";
-    case TraceEventKind::Skipped: return "skipped";
-    case TraceEventKind::Failed: return "failed";
   }
   return "?";
 }

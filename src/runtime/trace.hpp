@@ -27,13 +27,14 @@
 /// Thread-safety contract: predicate() and checkpoint_gap() may be called
 /// from any number of threads concurrently. event() is single-writer *per
 /// slot* — each strategy slot is owned by the one pool task running that
-/// strategy, which matches how solve_portfolio hands out launch indices.
+/// strategy.
 /// summary() may race with writers (it is acquire-correct), though the
 /// runtime only calls it after the race has joined.
 ///
-/// This header deliberately does not include portfolio.hpp: strategies are
-/// carried as raw uint8 so the tracer can be used from any layer without
-/// an include cycle.
+/// TraceDetail and TraceEventKind are the public enums of
+/// pmcast/response.hpp. This header deliberately does not include
+/// portfolio.hpp: strategies are carried as raw uint8 so the tracer can be
+/// used from any layer without an include cycle.
 
 #include <array>
 #include <atomic>
@@ -44,15 +45,9 @@
 #include <limits>
 #include <vector>
 
+#include "pmcast/response.hpp"
+
 namespace pmcast::runtime {
-
-enum class TraceDetail : std::uint8_t {
-  Off = 0,       ///< record nothing; zero heap, zero atomics, zero clocks
-  Counters = 1,  ///< predicate accounting + checkpoint latency histogram
-  Timeline = 2,  ///< Counters plus per-strategy event timelines
-};
-
-const char* trace_detail_name(TraceDetail detail);
 
 /// The cut predicates the runtime evaluates while racing a portfolio.
 enum class CutPredicate : std::uint8_t {
@@ -62,8 +57,8 @@ enum class CutPredicate : std::uint8_t {
   /// Start-of-strategy early win: a strategy launched earlier certified a
   /// period that meets the proven lower bound, so later launches are moot.
   EarlyWin = 1,
-  /// Between-probe polls inside the LP heuristics: dominance/abort checks
-  /// and the LB-convergence cut that skips provably futile probes.
+  /// Between-probe polls inside the LP heuristics: the LB-convergence cut
+  /// that skips provably futile probes.
   ProbePoll = 2,
   /// MulticastUb mid-strategy check: skip schedule reconstruction when the
   /// bound it just computed is already dominated.
@@ -73,17 +68,6 @@ enum class CutPredicate : std::uint8_t {
 inline constexpr int kCutPredicateCount = 4;
 
 const char* cut_predicate_name(CutPredicate predicate);
-
-enum class TraceEventKind : std::uint8_t {
-  Launch = 0,            ///< strategy task started executing
-  FirstLpCheckpoint = 1, ///< first in-LP budget checkpoint (LP warm-up over)
-  Certified = 2,         ///< strategy certified a period (event value)
-  Pruned = 3,            ///< strategy cut before/while running
-  Skipped = 4,           ///< strategy never ran usefully (budget, filter)
-  Failed = 5,            ///< strategy finished without a certificate
-};
-
-const char* trace_event_name(TraceEventKind kind);
 
 /// One timeline entry. Timestamps are microseconds since the tracer was
 /// constructed (steady clock, monotonic within one race).

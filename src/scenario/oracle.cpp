@@ -1,13 +1,15 @@
 #include "scenario/oracle.hpp"
 
 #include <sstream>
+#include <utility>
+
+#include "runtime/engine.hpp"
 
 namespace pmcast::scenario {
 namespace {
 
 using runtime::CandidateOutcome;
 using runtime::CandidateState;
-using runtime::Strategy;
 
 /// a <= b up to the relative tolerance (scale-aware, absolute floor for
 /// values near zero).
@@ -67,16 +69,16 @@ OracleReport cross_check(const core::MulticastProblem& problem,
         // Invariant 1: certified period >= LP lower bound.
         if (lb.ok() && !leq(lb.period, c.period, options.rel_tol)) {
           violate("lb_ordering",
-                  std::string(strategy_name(c.strategy)) + " period " +
+                  std::string(strategy_id_name(c.strategy)) + " period " +
                       fmt(c.period) + " beats the LP lower bound " +
                       fmt(lb.period));
         }
-        if (c.strategy == Strategy::Exact) {
+        if (c.strategy == StrategyId::Exact) {
           exact = &c;
           report.exact_certified = true;
           report.exact_period = c.period;
         }
-        if (c.strategy == Strategy::MulticastUb) multicast_ub = &c;
+        if (c.strategy == StrategyId::MulticastUb) multicast_ub = &c;
         break;
       }
       case CandidateState::Failed:
@@ -85,7 +87,7 @@ OracleReport cross_check(const core::MulticastProblem& problem,
         // certify or declare itself inapplicable (Skipped).
         if (!options.allow_failures) {
           violate("strategy_failed",
-                  std::string(strategy_name(c.strategy)) + ": " + c.detail);
+                  std::string(strategy_id_name(c.strategy)) + ": " + c.detail);
         }
         break;
       case CandidateState::Skipped:
@@ -101,14 +103,14 @@ OracleReport cross_check(const core::MulticastProblem& problem,
   if (exact != nullptr) {
     for (const CandidateOutcome& c : result.candidates) {
       if (c.state != CandidateState::Certified) continue;
-      bool single_tree = c.strategy == Strategy::Mcph ||
-                         c.strategy == Strategy::PrunedDijkstra ||
-                         c.strategy == Strategy::Kmb;
+      bool single_tree = c.strategy == StrategyId::Mcph ||
+                         c.strategy == StrategyId::PrunedDijkstra ||
+                         c.strategy == StrategyId::Kmb;
       if (!single_tree) continue;
       if (!leq(exact->period, c.period, options.rel_tol)) {
         violate("exact_dominance",
                 std::string("exact period ") + fmt(exact->period) +
-                    " worse than " + strategy_name(c.strategy) + " " +
+                    " worse than " + strategy_id_name(c.strategy) + " " +
                     fmt(c.period));
       }
     }
@@ -143,11 +145,14 @@ OracleReport cross_check(const core::MulticastProblem& problem,
   // cooperative pruning would legitimately skip dominated ones, so the
   // oracle's own portfolio runs blind. Precomputed results passed to the
   // other overload keep whatever policy produced them.
-  runtime::PortfolioOptions portfolio = options.portfolio;
-  portfolio.pruning = runtime::PruningPolicy::Off;
-  runtime::PortfolioResult result =
-      runtime::solve_portfolio(problem, portfolio);
-  return cross_check(problem, result, options);
+  // An inline, uncached engine runs the strategies in launch order.
+  runtime::EngineOptions engine_options;
+  engine_options.threads = 0;
+  engine_options.cache_capacity = 0;
+  engine_options.portfolio = options.portfolio;
+  engine_options.portfolio.pruning = PruningPolicy::Off;
+  runtime::PortfolioEngine engine(std::move(engine_options));
+  return cross_check(problem, engine.solve(problem), options);
 }
 
 }  // namespace pmcast::scenario

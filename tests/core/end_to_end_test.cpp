@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/api.hpp"
 #include "graph/rng.hpp"
+#include "pmcast/core.hpp"
 
 namespace pmcast::core {
 namespace {

@@ -150,10 +150,9 @@ TEST(WarmStartDifferential, MaskedBroadcastMatchesSubgraphFormulation) {
 TEST(WarmStartDifferential, EngineDeterministicAcrossThreadCountsWithWarmLp) {
   // The warm-start layer is strategy-local state; racing the LP strategies
   // on 1/2/8 threads must stay bit-identical.
-  const std::vector<runtime::Strategy> lp_strategies{
-      runtime::Strategy::MulticastUb, runtime::Strategy::AugmentedSources,
-      runtime::Strategy::ReducedBroadcast,
-      runtime::Strategy::AugmentedMulticast};
+  const std::vector<StrategyId> lp_strategies{
+      StrategyId::MulticastUb, StrategyId::AugmentedSources,
+      StrategyId::ReducedBroadcast, StrategyId::AugmentedMulticast};
   std::vector<core::MulticastProblem> batch{
       load_problem("tiers-n8-d50u-s1.platform"),
       load_problem("star-n8-d80l-s6.platform"),

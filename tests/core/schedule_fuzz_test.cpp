@@ -7,8 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/api.hpp"
 #include "graph/rng.hpp"
+#include "pmcast/core.hpp"
 
 namespace pmcast::core {
 namespace {

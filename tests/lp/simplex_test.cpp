@@ -254,19 +254,6 @@ TEST(SimplexCheckpoint, AbortStopsWithinOneInterval) {
   EXPECT_LE(sol.iterations, 4 * options.checkpoint_every + 1);
 }
 
-TEST(SimplexCheckpoint, CutoffReportsItsOwnStatus) {
-  Model m = checkpoint_workout(24);
-  SolverOptions options;
-  options.checkpoint_every = 16;
-  int polls = 0;
-  options.checkpoint = [&polls]() {
-    return ++polls >= 2 ? CheckpointAction::Cutoff
-                        : CheckpointAction::Continue;
-  };
-  auto sol = solve(m, options);
-  EXPECT_EQ(sol.status, SolveStatus::CutoffReached);
-}
-
 TEST(SimplexCheckpoint, ContinueVerdictsDoNotPerturbTheSolve) {
   Model m = checkpoint_workout(16);
   auto plain = solve(m);

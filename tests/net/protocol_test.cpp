@@ -44,7 +44,7 @@ WireRequest sample_request() {
       StrategyId::Mcph, StrategyId::MulticastUb});
   r.exact_max_nodes = 10;
   r.exact_max_trees = 50'000;
-  r.pruning = static_cast<std::uint8_t>(PruningPolicy::Aggressive);
+  r.pruning = static_cast<std::uint8_t>(PruningPolicy::Deterministic);
   r.known_lower_bound = 2.5;
   r.problem = diamond_problem();
   return r;
@@ -206,7 +206,7 @@ TEST(Protocol, SolveRequestRoundTripsEveryField) {
                                      StrategyId::MulticastUb}));
   EXPECT_EQ(request.limits.exact_max_nodes, 10);
   ASSERT_TRUE(request.pruning.has_value());
-  EXPECT_EQ(*request.pruning, PruningPolicy::Aggressive);
+  EXPECT_EQ(*request.pruning, PruningPolicy::Deterministic);
 }
 
 TEST(Protocol, NoDeadlineTravelsAsFlagAndRestoresSentinel) {
@@ -269,6 +269,31 @@ TEST(Protocol, DeadlineSentinelsCannotBeForgedOnTheWire) {
   EXPECT_NE(decoded.status().message().find("nonzero deadline"),
             std::string::npos)
       << decoded.status().to_string();
+}
+
+TEST(Protocol, PruningByteAcceptsOnlyKnownPoliciesOrInherit) {
+  // Payload layout: deadline f64, priority i32, mask u32, max_nodes i32,
+  // max_trees u64, then the pruning u8.
+  const std::size_t pruning_at = kHeaderBytes + 28;
+  std::vector<std::uint8_t> bytes = encode_solve_request(sample_request());
+  ASSERT_EQ(bytes[pruning_at],
+            static_cast<std::uint8_t>(PruningPolicy::Deterministic));
+
+  // Byte 2 named the retired third policy; it is malformed now.
+  bytes[pruning_at] = 2;
+  Result<WireRequest> decoded = decode_solve_request(must_extract(bytes));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("unknown pruning policy 2"),
+            std::string::npos)
+      << decoded.status().to_string();
+
+  // kInheritPruning still decodes, as "use the server default".
+  bytes[pruning_at] = WireRequest::kInheritPruning;
+  decoded = decode_solve_request(must_extract(bytes));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+  EXPECT_EQ(decoded->pruning, WireRequest::kInheritPruning);
+  EXPECT_FALSE(decoded->to_solve_request().pruning.has_value());
 }
 
 TEST(Protocol, TruncatedRequestBodyIsMalformed) {

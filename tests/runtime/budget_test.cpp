@@ -134,11 +134,14 @@ TEST(DeadlineGranularity, MidLpDeadlineReturnsWithinCheckpointInterval) {
   auto targets = topo::sample_targets(platform, 0.5, rng);
   core::MulticastProblem problem(platform.graph, platform.source, targets);
 
-  PortfolioOptions options;
-  options.pruning = PruningPolicy::Off;  // isolate deadline enforcement
-  options.budget.deadline_ms = 25.0;
+  EngineOptions options;
+  options.threads = 0;  // inline, in launch order
+  options.cache_capacity = 0;
+  options.portfolio.pruning = PruningPolicy::Off;  // isolate deadlines
+  options.portfolio.budget.deadline_ms = 25.0;
+  PortfolioEngine engine(options);
   auto start = Clock::now();
-  PortfolioResult result = solve_portfolio(problem, options);
+  PortfolioResult result = engine.solve(problem);
   double elapsed_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - start)
           .count();

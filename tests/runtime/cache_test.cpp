@@ -15,7 +15,7 @@ PortfolioResult certified(double period) {
   PortfolioResult r;
   r.ok = true;
   r.period = period;
-  r.winner = Strategy::Mcph;
+  r.winner = StrategyId::Mcph;
   return r;
 }
 

@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/api.hpp"
 #include "graph/rng.hpp"
+#include "pmcast/core.hpp"
 
 namespace pmcast::runtime {
 namespace {
@@ -103,6 +103,7 @@ TEST(Engine, BatchCoalescesDuplicateInstances) {
 TEST(Engine, ThreadCountsOneTwoEightAgree) {
   std::vector<MulticastProblem> batch;
   for (std::uint64_t s = 10; s < 16; ++s) batch.push_back(random_problem(s));
+  for (std::uint64_t s : {3ULL, 7ULL, 9ULL}) batch.push_back(random_problem(s));
 
   PortfolioEngine baseline(with_threads(0));  // inline reference
   auto expected = baseline.solve_batch(batch);
@@ -113,10 +114,21 @@ TEST(Engine, ThreadCountsOneTwoEightAgree) {
     for (size_t i = 0; i < results.size(); ++i) {
       EXPECT_EQ(results[i].ok, expected[i].ok)
           << threads << " threads, instance " << i;
+      // Bit-identical, not approximately equal: each strategy is a pure
+      // function of the instance regardless of which worker ran it.
       EXPECT_EQ(results[i].period, expected[i].period)
           << threads << " threads, instance " << i;
       EXPECT_EQ(results[i].winner, expected[i].winner)
           << threads << " threads, instance " << i;
+      ASSERT_EQ(results[i].candidates.size(), expected[i].candidates.size());
+      for (size_t c = 0; c < results[i].candidates.size(); ++c) {
+        EXPECT_EQ(results[i].candidates[c].state,
+                  expected[i].candidates[c].state)
+            << threads << " threads, instance " << i << " candidate " << c;
+        EXPECT_EQ(results[i].candidates[c].period,
+                  expected[i].candidates[c].period)
+            << threads << " threads, instance " << i << " candidate " << c;
+      }
     }
   }
 }

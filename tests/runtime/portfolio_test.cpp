@@ -1,13 +1,15 @@
 /// Portfolio-level properties: every winning period is certificate-backed,
-/// never worse than any individual certified strategy, sandwiched by the LP
-/// bounds, and bit-identical across thread counts.
+/// never worse than any individual certified strategy and sandwiched by the
+/// LP bounds; budgets, infeasible instances and strategy subsets behave.
+/// (Thread-count bit-identity is Engine.ThreadCountsOneTwoEightAgree.)
 
 #include "runtime/portfolio.hpp"
 
 #include <gtest/gtest.h>
 
-#include "core/api.hpp"
 #include "graph/rng.hpp"
+#include "pmcast/core.hpp"
+#include "runtime/engine.hpp"
 
 namespace pmcast::runtime {
 namespace {
@@ -38,11 +40,24 @@ MulticastProblem random_problem(std::uint64_t seed) {
   }
 }
 
+/// Race \p p on an inline, uncached engine: every strategy runs on this
+/// thread, in launch order.
+PortfolioResult race(const MulticastProblem& p, PortfolioOptions portfolio = {},
+                     CancellationToken cancel = {}) {
+  EngineOptions options;
+  options.threads = 0;
+  options.cache_capacity = 0;
+  options.portfolio = std::move(portfolio);
+  RequestOptions request;
+  request.cancel = cancel;
+  return PortfolioEngine(std::move(options)).solve(p, request);
+}
+
 class PortfolioProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PortfolioProperty, WinnerCertifiedAndDominant) {
   MulticastProblem p = random_problem(GetParam());
-  PortfolioResult r = solve_portfolio(p);
+  PortfolioResult r = race(p);
   ASSERT_TRUE(r.ok) << "no strategy certified, seed " << GetParam();
   EXPECT_LT(r.period, kInfinity);
 
@@ -52,7 +67,7 @@ TEST_P(PortfolioProperty, WinnerCertifiedAndDominant) {
   for (const CandidateOutcome& c : r.candidates) {
     if (c.state != CandidateState::Certified) continue;
     EXPECT_LE(r.period, c.period + kTol)
-        << strategy_name(c.strategy) << " beats the winner, seed "
+        << strategy_id_name(c.strategy) << " beats the winner, seed "
         << GetParam();
     if (c.strategy == r.winner) {
       winner_seen = true;
@@ -69,7 +84,7 @@ TEST_P(PortfolioProperty, WinnerCertifiedAndDominant) {
   for (const CandidateOutcome& c : r.candidates) {
     if (c.state == CandidateState::Certified) {
       EXPECT_GE(c.period, lb.period - kTol)
-          << strategy_name(c.strategy) << " beats the LP lower bound, seed "
+          << strategy_id_name(c.strategy) << " beats the LP lower bound, seed "
           << GetParam();
     }
   }
@@ -80,7 +95,7 @@ TEST_P(PortfolioProperty, NeverBeatsExactOptimum) {
   MulticastProblem p = random_problem(GetParam());
   core::ExactSolution exact = core::exact_optimal_throughput(p);
   ASSERT_TRUE(exact.ok);
-  PortfolioResult r = solve_portfolio(p);
+  PortfolioResult r = race(p);
   ASSERT_TRUE(r.ok);
   // The exact strategy itself realises the optimum up to rationalisation
   // error, so allow that slack below the LP optimum.
@@ -91,33 +106,11 @@ TEST_P(PortfolioProperty, NeverBeatsExactOptimum) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PortfolioProperty,
                          ::testing::Range<std::uint64_t>(1, 11));
 
-TEST(Portfolio, DeterministicAcrossThreadCounts) {
-  for (std::uint64_t seed : {3ULL, 7ULL, 9ULL}) {
-    MulticastProblem p = random_problem(seed);
-    PortfolioResult inline_r = solve_portfolio(p);
-    for (int threads : {1, 2, 8}) {
-      ThreadPool pool(threads);
-      PortfolioResult r = solve_portfolio(p, {}, &pool);
-      ASSERT_EQ(r.ok, inline_r.ok) << threads << " threads, seed " << seed;
-      // Bit-identical, not approximately equal: each strategy is a pure
-      // function of the instance regardless of which worker ran it.
-      EXPECT_EQ(r.period, inline_r.period)
-          << threads << " threads, seed " << seed;
-      EXPECT_EQ(r.winner, inline_r.winner);
-      ASSERT_EQ(r.candidates.size(), inline_r.candidates.size());
-      for (size_t i = 0; i < r.candidates.size(); ++i) {
-        EXPECT_EQ(r.candidates[i].state, inline_r.candidates[i].state);
-        EXPECT_EQ(r.candidates[i].period, inline_r.candidates[i].period);
-      }
-    }
-  }
-}
-
 TEST(Portfolio, PreCancelledTokenSkipsAllStrategies) {
   MulticastProblem p = random_problem(1);
   CancellationToken cancel;
   cancel.request_stop();
-  PortfolioResult r = solve_portfolio(p, {}, nullptr, cancel);
+  PortfolioResult r = race(p, {}, cancel);
   EXPECT_FALSE(r.ok);
   for (const CandidateOutcome& c : r.candidates) {
     EXPECT_EQ(c.state, CandidateState::Skipped);
@@ -128,7 +121,7 @@ TEST(Portfolio, ExpiredDeadlineSkipsAllStrategies) {
   MulticastProblem p = random_problem(2);
   PortfolioOptions options;
   options.budget.deadline_ms = 1e-6;  // expires before any strategy starts
-  PortfolioResult r = solve_portfolio(p, options);
+  PortfolioResult r = race(p, options);
   EXPECT_FALSE(r.ok);
   for (const CandidateOutcome& c : r.candidates) {
     EXPECT_EQ(c.state, CandidateState::Skipped);
@@ -139,19 +132,35 @@ TEST(Portfolio, InfeasibleInstanceFailsCleanly) {
   Digraph g(3);
   g.add_edge(0, 1, 1.0);  // node 2 unreachable
   MulticastProblem p(g, 0, {1, 2});
-  PortfolioResult r = solve_portfolio(p);
+  PortfolioResult r = race(p);
   EXPECT_FALSE(r.ok);
+  ASSERT_EQ(r.candidates.size(), all_strategy_ids().size());
   for (const CandidateOutcome& c : r.candidates) {
     EXPECT_EQ(c.state, CandidateState::Failed);
     EXPECT_NE(c.detail.find("infeasible"), std::string::npos);
   }
+
+  // Delivered without racing, to the coalesced duplicate too, and never
+  // cached: a retry solves again.
+  EngineOptions cached;
+  cached.threads = 2;
+  PortfolioEngine engine(cached);
+  std::vector<MulticastProblem> batch{p, p};
+  std::vector<PortfolioResult> results = engine.solve_batch(batch);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_FALSE(results[0].ok);
+  EXPECT_FALSE(results[1].ok);
+  EXPECT_TRUE(results[1].coalesced);
+  EXPECT_EQ(results[1].candidates.size(), r.candidates.size());
+  EXPECT_EQ(engine.cache_stats().entries, 0u);
+  EXPECT_FALSE(engine.solve(p).from_cache);
 }
 
 TEST(Portfolio, StrategySubsetRuns) {
   MulticastProblem p = random_problem(4);
   PortfolioOptions options;
-  options.strategies = {Strategy::Mcph, Strategy::MulticastUb};
-  PortfolioResult r = solve_portfolio(p, options);
+  options.strategies = {StrategyId::Mcph, StrategyId::MulticastUb};
+  PortfolioResult r = race(p, options);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.candidates.size(), 2u);
 }
@@ -159,9 +168,9 @@ TEST(Portfolio, StrategySubsetRuns) {
 TEST(Portfolio, ExactSkippedAboveNodeLimit) {
   MulticastProblem p = random_problem(5);
   PortfolioOptions options;
-  options.strategies = {Strategy::Exact};
+  options.strategies = {StrategyId::Exact};
   options.budget.exact_max_nodes = p.graph.node_count() - 1;
-  PortfolioResult r = solve_portfolio(p, options);
+  PortfolioResult r = race(p, options);
   EXPECT_FALSE(r.ok);
   ASSERT_EQ(r.candidates.size(), 1u);
   EXPECT_EQ(r.candidates[0].state, CandidateState::Skipped);

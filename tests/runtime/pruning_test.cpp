@@ -1,9 +1,8 @@
-/// Cooperative-pruning differential suite (PR 5 acceptance): Deterministic
-/// pruning is bit-identical to Off for winner/period/certificate across
-/// 1/2/8 engine threads (and candidate-identical across thread counts),
-/// Aggressive never changes the certified period, cutoff-aborted LP solves
-/// are never reported as Failed, and the Incumbent publish/observe
-/// protocol is clean under concurrency (this file runs in the TSan lane).
+/// Cooperative-pruning differential suite: Deterministic pruning is
+/// bit-identical to Off for winner/period/certificate across 1/2/8 engine
+/// threads (and candidate-identical across thread counts), and the
+/// Incumbent publish/observe protocol is clean under concurrency (this
+/// file runs in the TSan lane).
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include "graph/rng.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/incumbent.hpp"
-#include "runtime/portfolio.hpp"
 
 #ifndef PMCAST_TEST_DATA_DIR
 #error "PMCAST_TEST_DATA_DIR must point at tests/data (set by CMake)"
@@ -75,6 +73,16 @@ EngineOptions engine_options(int threads, PruningPolicy policy) {
   options.cache_capacity = 0;  // differential runs must not share results
   options.portfolio.pruning = policy;
   return options;
+}
+
+/// Race \p problem under \p policy on an inline engine (0 workers: every
+/// strategy runs on this thread, in launch order).
+PortfolioResult race_inline(const core::MulticastProblem& problem,
+                            PruningPolicy policy,
+                            double known_lower_bound = 0.0) {
+  RequestOptions request;
+  request.known_lower_bound = known_lower_bound;
+  return PortfolioEngine(engine_options(0, policy)).solve(problem, request);
 }
 
 // ---------------------------------------------------------------- Incumbent
@@ -170,9 +178,7 @@ TEST(PruningDifferential, DeterministicMatchesOffOnTheGoldenCorpus) {
   // Reference: blind portfolio, inline.
   std::vector<PortfolioResult> blind;
   for (const auto& problem : corpus) {
-    PortfolioOptions options;
-    options.pruning = PruningPolicy::Off;
-    blind.push_back(solve_portfolio(problem, options));
+    blind.push_back(race_inline(problem, PruningPolicy::Off));
     ASSERT_TRUE(blind.back().ok);
   }
 
@@ -242,47 +248,6 @@ TEST(PruningDifferential, DeterministicCandidatesIdenticalAcrossThreads) {
   }
 }
 
-TEST(PruningDifferential, AggressiveNeverChangesTheCertifiedPeriod) {
-  std::vector<core::MulticastProblem> corpus = golden_corpus();
-  std::vector<PortfolioResult> blind;
-  for (const auto& problem : corpus) {
-    PortfolioOptions options;
-    options.pruning = PruningPolicy::Off;
-    blind.push_back(solve_portfolio(problem, options));
-  }
-  for (int threads : {2, 8}) {
-    PortfolioEngine engine(engine_options(threads, PruningPolicy::Aggressive));
-    std::vector<PortfolioResult> aggressive = engine.solve_batch(corpus);
-    for (size_t i = 0; i < corpus.size(); ++i) {
-      ASSERT_EQ(aggressive[i].ok, blind[i].ok) << "instance " << i;
-      // Aggressive may vary WHICH losers get cut, never the certified
-      // period (every cut predicate is sound).
-      EXPECT_EQ(aggressive[i].period, blind[i].period)
-          << "instance " << i << ", " << threads << " threads";
-    }
-  }
-}
-
-TEST(PruningDifferential, CutoffAbortedSolvesAreNeverFailed) {
-  std::vector<core::MulticastProblem> corpus = golden_corpus();
-  for (int threads : {1, 8}) {
-    PortfolioEngine engine(engine_options(threads, PruningPolicy::Aggressive));
-    std::vector<PortfolioResult> results = engine.solve_batch(corpus);
-    for (size_t i = 0; i < corpus.size(); ++i) {
-      for (const CandidateOutcome& c : results[i].candidates) {
-        if (c.prune.cutoff_aborts > 0) {
-          EXPECT_NE(c.state, CandidateState::Failed)
-              << "instance " << i << ", " << strategy_name(c.strategy)
-              << ": a cutoff-aborted solve must report Skipped, not Failed";
-        }
-        if (c.state == CandidateState::Skipped && is_pruned(c.skip_reason)) {
-          EXPECT_NE(c.strategy, results[i].winner);
-        }
-      }
-    }
-  }
-}
-
 // ------------------------------------------------------------ sound cuts
 
 TEST(Pruning, ScatterDominanceSkipsThePlatformHeuristics) {
@@ -292,14 +257,10 @@ TEST(Pruning, ScatterDominanceSkipsThePlatformHeuristics) {
   // platform, which is monotonically no better — are provably dominated.
   core::MulticastProblem problem = dense_instance(1);
 
-  PortfolioOptions off;
-  off.pruning = PruningPolicy::Off;
-  PortfolioResult blind = solve_portfolio(problem, off);
+  PortfolioResult blind = race_inline(problem, PruningPolicy::Off);
   ASSERT_TRUE(blind.ok);
 
-  PortfolioOptions det;
-  det.pruning = PruningPolicy::Deterministic;
-  PortfolioResult pruned = solve_portfolio(problem, det);
+  PortfolioResult pruned = race_inline(problem, PruningPolicy::Deterministic);
   ASSERT_TRUE(pruned.ok);
 
   EXPECT_EQ(pruned.period, blind.period);
@@ -307,8 +268,8 @@ TEST(Pruning, ScatterDominanceSkipsThePlatformHeuristics) {
   EXPECT_GT(pruned.pruning.strategies_pruned, 0);
   bool saw_dominated_platform = false;
   for (const CandidateOutcome& c : pruned.candidates) {
-    if ((c.strategy == Strategy::ReducedBroadcast ||
-         c.strategy == Strategy::AugmentedMulticast) &&
+    if ((c.strategy == StrategyId::ReducedBroadcast ||
+         c.strategy == StrategyId::AugmentedMulticast) &&
         c.state == CandidateState::Skipped &&
         c.skip_reason == SkipReason::Dominated) {
       saw_dominated_platform = true;
@@ -318,8 +279,8 @@ TEST(Pruning, ScatterDominanceSkipsThePlatformHeuristics) {
   // The blind run proves the cut sound on this instance: both platform
   // heuristics certified strictly worse than the winner.
   for (const CandidateOutcome& c : blind.candidates) {
-    if (c.strategy == Strategy::ReducedBroadcast ||
-        c.strategy == Strategy::AugmentedMulticast) {
+    if (c.strategy == StrategyId::ReducedBroadcast ||
+        c.strategy == StrategyId::AugmentedMulticast) {
       ASSERT_EQ(c.state, CandidateState::Certified);
       EXPECT_GT(c.period, blind.period);
     }
@@ -337,30 +298,26 @@ TEST(Pruning, EarlyWinStopsTheRaceOnAStar) {
   g.add_edge(0, 3, 1.0);
   core::MulticastProblem problem(g, 0, {1, 2, 3});
 
-  PortfolioOptions det;
-  det.pruning = PruningPolicy::Deterministic;
   // A caller-proven bound (the emission LB) makes the early-win cut
   // independent of LP bit-exactness on this platform.
-  det.known_lower_bound = 3.0;
-  PortfolioResult result = solve_portfolio(problem, det);
+  PortfolioResult result =
+      race_inline(problem, PruningPolicy::Deterministic, 3.0);
   ASSERT_TRUE(result.ok);
   EXPECT_DOUBLE_EQ(result.period, 3.0);
-  EXPECT_EQ(result.winner, Strategy::Mcph);
+  EXPECT_EQ(result.winner, StrategyId::Mcph);
   EXPECT_GT(result.pruning.early_win_cancels, 0);
   for (const CandidateOutcome& c : result.candidates) {
     if (strategy_stage(c.strategy) > 0) {
       EXPECT_EQ(c.state, CandidateState::Skipped)
-          << strategy_name(c.strategy);
+          << strategy_id_name(c.strategy);
       EXPECT_EQ(c.skip_reason, SkipReason::EarlyWin)
-          << strategy_name(c.strategy);
+          << strategy_id_name(c.strategy);
     }
   }
 
   // Same result, same winner, without the hint (the LB probe proves the
   // bound) and with pruning off (nothing can beat the emission bound).
-  PortfolioOptions off;
-  off.pruning = PruningPolicy::Off;
-  PortfolioResult blind = solve_portfolio(problem, off);
+  PortfolioResult blind = race_inline(problem, PruningPolicy::Off);
   ASSERT_TRUE(blind.ok);
   EXPECT_EQ(result.period, blind.period);
   EXPECT_EQ(result.winner, blind.winner);
@@ -377,16 +334,14 @@ TEST(Pruning, ProbeDerivedBoundFiresEarlyWinWithoutAHint) {
   std::vector<core::MulticastProblem> corpus = golden_corpus();
   int early_win_cancels = 0;
   for (const auto& problem : corpus) {
-    PortfolioOptions det;
-    det.pruning = PruningPolicy::Deterministic;  // no known_lower_bound hint
-    PortfolioResult pruned = solve_portfolio(problem, det);
+    // No known_lower_bound hint.
+    PortfolioResult pruned =
+        race_inline(problem, PruningPolicy::Deterministic);
     ASSERT_TRUE(pruned.ok);
     early_win_cancels += pruned.pruning.early_win_cancels;
 
     // The cut stays sound: identical answer with pruning off.
-    PortfolioOptions off;
-    off.pruning = PruningPolicy::Off;
-    PortfolioResult blind = solve_portfolio(problem, off);
+    PortfolioResult blind = race_inline(problem, PruningPolicy::Off);
     ASSERT_TRUE(blind.ok);
     EXPECT_EQ(pruned.period, blind.period);
     EXPECT_EQ(pruned.winner, blind.winner);
@@ -406,9 +361,8 @@ TEST(Pruning, DominatedHeuristicsSkipTheirRemainingProbes) {
   std::vector<core::MulticastProblem> corpus = golden_corpus();
   int probes_skipped = 0;
   for (const auto& problem : corpus) {
-    PortfolioOptions det;
-    det.pruning = PruningPolicy::Deterministic;
-    PortfolioResult pruned = solve_portfolio(problem, det);
+    PortfolioResult pruned =
+        race_inline(problem, PruningPolicy::Deterministic);
     ASSERT_TRUE(pruned.ok);
     probes_skipped += pruned.pruning.probes_skipped;
     // Abandoning probes mid-sequence keeps the partial result (it may even
@@ -416,7 +370,8 @@ TEST(Pruning, DominatedHeuristicsSkipTheirRemainingProbes) {
     // strategy into a Failed outcome.
     for (const CandidateOutcome& c : pruned.candidates) {
       if (c.prune.probes_skipped > 0) {
-        EXPECT_NE(c.state, CandidateState::Failed) << strategy_name(c.strategy);
+        EXPECT_NE(c.state, CandidateState::Failed)
+            << strategy_id_name(c.strategy);
       }
     }
   }
@@ -427,9 +382,7 @@ TEST(Pruning, DominatedHeuristicsSkipTheirRemainingProbes) {
 
 TEST(Pruning, KnownLowerBoundRidesTheRequestThroughTheEngine) {
   core::MulticastProblem problem = dense_instance(3);
-  PortfolioOptions off;
-  off.pruning = PruningPolicy::Off;
-  PortfolioResult blind = solve_portfolio(problem, off);
+  PortfolioResult blind = race_inline(problem, PruningPolicy::Off);
   ASSERT_TRUE(blind.ok);
 
   // The blind winner's period is the true portfolio answer; feeding it
@@ -441,7 +394,7 @@ TEST(Pruning, KnownLowerBoundRidesTheRequestThroughTheEngine) {
   PortfolioResult result = engine.solve(problem, request);
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.period, blind.period);
-  EXPECT_GE(result.pruning.proven_lb, blind.period);
+  EXPECT_GE(result.pruning.proven_lower_bound, blind.period);
 }
 
 }  // namespace

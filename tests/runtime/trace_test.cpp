@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/portfolio.hpp"
+#include "runtime/engine.hpp"
 #include "runtime/trace.hpp"
 
 // ------------------------------------------------------- allocation counter --
@@ -65,6 +65,16 @@ core::MulticastProblem diamond_problem() {
   return core::MulticastProblem(g, 0, {1, 3});
 }
 
+/// Race the diamond on an inline, uncached engine: every strategy runs on
+/// this thread, in launch order.
+PortfolioResult race_inline(const PortfolioOptions& portfolio) {
+  EngineOptions options;
+  options.threads = 0;
+  options.cache_capacity = 0;
+  options.portfolio = portfolio;
+  return PortfolioEngine(std::move(options)).solve(diamond_problem());
+}
+
 bool is_terminal(TraceEventKind kind) {
   return kind == TraceEventKind::Certified ||
          kind == TraceEventKind::Pruned ||
@@ -76,9 +86,9 @@ bool is_terminal(TraceEventKind kind) {
 TEST(Trace, SingleThreadTimelineIsAnOrderedLaunchToTerminalStory) {
   PortfolioOptions options;
   options.trace = TraceDetail::Timeline;
-  // No pool: every strategy runs inline on this thread, so the timeline
+  // No workers: every strategy runs inline on this thread, so the timeline
   // must be one thread id and strictly ordered.
-  PortfolioResult result = solve_portfolio(diamond_problem(), options);
+  PortfolioResult result = race_inline(options);
   ASSERT_TRUE(result.ok);
   const TraceSummary& trace = result.trace;
   EXPECT_EQ(trace.detail, TraceDetail::Timeline);
@@ -121,7 +131,7 @@ TEST(Trace, SingleThreadTimelineIsAnOrderedLaunchToTerminalStory) {
 
   // Two inline runs produce the same event *sequence* (kinds, slots,
   // strategies — timestamps differ): determinism at 1 thread.
-  PortfolioResult again = solve_portfolio(diamond_problem(), options);
+  PortfolioResult again = race_inline(options);
   ASSERT_TRUE(again.ok);
   ASSERT_EQ(again.trace.timeline.size(), trace.timeline.size());
   for (std::size_t i = 0; i < trace.timeline.size(); ++i) {

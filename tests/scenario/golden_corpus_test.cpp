@@ -59,15 +59,19 @@ TEST(GoldenCorpus, ManifestCoversTenInstances) {
 }
 
 TEST(GoldenCorpus, BestCertifiedPeriodsMatchManifest) {
+  runtime::EngineOptions options;
+  options.threads = 0;  // inline, in launch order
+  options.cache_capacity = 0;
+  runtime::PortfolioEngine engine(options);
   for (const GoldenEntry& entry : load_manifest()) {
     core::MulticastProblem problem = load_problem(entry.file);
-    runtime::PortfolioResult result = runtime::solve_portfolio(problem);
+    runtime::PortfolioResult result = engine.solve(problem);
     ASSERT_TRUE(result.ok) << entry.file;
     // Relative tolerance absorbs LP numerics / rationalisation wobble
     // across compilers; any real regression is percent-scale.
     EXPECT_NEAR(result.period, entry.expected_period,
                 1e-4 * entry.expected_period)
-        << entry.file << " (winner " << strategy_name(result.winner) << ")";
+        << entry.file << " (winner " << strategy_id_name(result.winner) << ")";
   }
 }
 

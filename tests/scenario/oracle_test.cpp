@@ -9,22 +9,32 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/engine.hpp"
 #include "scenario/generator.hpp"
 
 namespace pmcast::scenario {
 namespace {
 
 using runtime::CandidateState;
-using runtime::Strategy;
 
 /// Tree heuristics + scatter bound + exact: everything needed for the
 /// LB <= exact <= tree-heuristic ordering, at milliseconds per instance.
 OracleOptions cheap_options() {
   OracleOptions options;
-  options.portfolio.strategies = {Strategy::Mcph, Strategy::PrunedDijkstra,
-                                  Strategy::Kmb, Strategy::MulticastUb,
-                                  Strategy::Exact};
+  options.portfolio.strategies = {
+      StrategyId::Mcph, StrategyId::PrunedDijkstra, StrategyId::Kmb,
+      StrategyId::MulticastUb, StrategyId::Exact};
   return options;
+}
+
+/// Race \p portfolio on an inline, uncached engine.
+runtime::PortfolioResult race(const core::MulticastProblem& problem,
+                              const runtime::PortfolioOptions& portfolio) {
+  runtime::EngineOptions options;
+  options.threads = 0;
+  options.cache_capacity = 0;
+  options.portfolio = portfolio;
+  return runtime::PortfolioEngine(std::move(options)).solve(problem);
 }
 
 TEST(OracleSuite, TwoHundredInstancesAcrossAllFamiliesCheapSet) {
@@ -84,8 +94,7 @@ TEST(Oracle, AcceptsPrecomputedPortfolioResult) {
   ScenarioInstance instance = generate_scenario(spec);
 
   OracleOptions options = cheap_options();
-  runtime::PortfolioResult result =
-      runtime::solve_portfolio(instance.problem, options.portfolio);
+  runtime::PortfolioResult result = race(instance.problem, options.portfolio);
   OracleReport from_result = cross_check(instance.problem, result, options);
   OracleReport from_problem = cross_check(instance.problem, options);
   EXPECT_TRUE(from_result.ok);
@@ -111,8 +120,7 @@ TEST(Oracle, FlagsFabricatedSubLowerBoundPeriod) {
   ScenarioInstance instance = generate_scenario(spec);
 
   OracleOptions options = cheap_options();
-  runtime::PortfolioResult result =
-      runtime::solve_portfolio(instance.problem, options.portfolio);
+  runtime::PortfolioResult result = race(instance.problem, options.portfolio);
   ASSERT_TRUE(result.ok);
   // Tamper with a certified candidate: claim an impossible period.
   for (auto& c : result.candidates) {
@@ -138,8 +146,7 @@ TEST(Oracle, FailedStrategiesAreViolationsUnlessAllowed) {
   ScenarioInstance instance = generate_scenario(spec);
 
   OracleOptions options = cheap_options();
-  runtime::PortfolioResult result =
-      runtime::solve_portfolio(instance.problem, options.portfolio);
+  runtime::PortfolioResult result = race(instance.problem, options.portfolio);
   ASSERT_TRUE(result.ok);
   result.candidates[0].state = CandidateState::Failed;
   result.candidates[0].detail = "injected failure";

@@ -13,7 +13,6 @@ namespace {
 using runtime::EngineOptions;
 using runtime::PortfolioEngine;
 using runtime::PortfolioResult;
-using runtime::Strategy;
 
 std::vector<core::MulticastProblem> mixed_batch() {
   std::vector<core::MulticastProblem> batch;
@@ -31,9 +30,9 @@ EngineOptions engine_options(int threads) {
   options.threads = threads;
   // Cheap-but-complete strategy set keeps the 3-way run fast while still
   // covering tree, flow and exact certification paths.
-  options.portfolio.strategies = {Strategy::Mcph, Strategy::PrunedDijkstra,
-                                  Strategy::Kmb, Strategy::MulticastUb,
-                                  Strategy::Exact};
+  options.portfolio.strategies = {
+      StrategyId::Mcph, StrategyId::PrunedDijkstra, StrategyId::Kmb,
+      StrategyId::MulticastUb, StrategyId::Exact};
   return options;
 }
 
