@@ -1,17 +1,22 @@
 /// \file micro_lp.cpp
 /// Experiment E10 (part 1) — google-benchmark micro-benchmarks of the LP
 /// substrate: simplex solve times for the paper's formulations at several
-/// platform scales, plus the warm-start sequences behind the LP refinement
-/// heuristics (cold vs warm arms of the same mask/promotion sequences).
+/// platform scales, plus the LP sequences behind the refinement heuristics
+/// (cold vs warm arms of the mask sequences; augmented_sources, which
+/// solves every program cold, in one arm).
 ///
-/// `micro_lp --smoke` skips the benchmark harness and runs one cold+warm
-/// differential pass instead (exit 1 on mismatch) — the CI hook that
-/// exercises the warm-start layer under ASan/UBSan.
+/// `micro_lp --smoke` skips the benchmark harness and runs a differential
+/// pass instead (exit 1 on mismatch): warm vs cold for the two platform
+/// heuristics, per-origin vs per-commodity MulticastMultiSource-UB for
+/// augmented_sources' probes — the CI hook that exercises both under
+/// ASan/UBSan.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "pmcast/core.hpp"
 #include "pmcast/graph.hpp"
@@ -181,32 +186,31 @@ BENCHMARK(BM_AugmentedMulticastSeq)
     ->Args({6, 0})->Args({6, 1})->Args({10, 0})->Args({10, 1})
     ->Unit(benchmark::kMillisecond);
 
+/// Fig. 8's promotion sequence: per-origin value probes plus one
+/// per-commodity solve per accepted promotion, all cold (no warm arm).
 void BM_AugmentedSourcesSeq(benchmark::State& state) {
   MulticastProblem p =
       make_problem(static_cast<int>(state.range(0)), 0.5, 11);
-  HeuristicOptions options;
-  options.warm_start = state.range(1) != 0;
   long long iters = 0;
-  int solves = 0, warm_hits = 0;
+  int solves = 0;
   for (auto _ : state) {
-    auto result = augmented_sources(p, options);
+    auto result = augmented_sources(p);
     benchmark::DoNotOptimize(result.period);
     iters += result.lp_stats.iterations;
     solves += result.lp_stats.solves;
-    warm_hits += result.lp_stats.warm_starts;
   }
-  report_lp(state, iters, solves, warm_hits);
+  report_lp(state, iters, solves, 0);
 }
-BENCHMARK(BM_AugmentedSourcesSeq)
-    ->Args({6, 0})->Args({6, 1})->Args({10, 0})->Args({10, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AugmentedSourcesSeq)->Arg(6)->Arg(10)->Unit(
+    benchmark::kMillisecond);
 
 // ---- smoke mode -----------------------------------------------------------
 
-/// One cold+warm differential pass over two platforms and all three LP
-/// heuristics; exercises build/mutate/warm-solve/fallback under whatever
-/// instrumentation the binary was compiled with. Returns 0 iff every warm
-/// result matches its cold twin.
+/// One differential pass over two platforms, under whatever
+/// instrumentation the binary was compiled with: the platform heuristics
+/// warm vs cold (build/mutate/warm-solve/fallback), and augmented_sources'
+/// value oracle — the per-origin program against the per-commodity one on
+/// every single-promotion source list. Returns 0 iff every pair agrees.
 int run_smoke() {
   int failures = 0;
   for (int lan : {5, 6}) {
@@ -230,9 +234,31 @@ int run_smoke() {
     check("augmented_multicast",
           augmented_multicast(p, cold_options).period,
           augmented_multicast(p, warm_options).period);
-    check("augmented_sources",
-          augmented_sources(p, cold_options).period,
-          augmented_sources(p, warm_options).period);
+
+    int lists = 0, disagreements = 0;
+    for (NodeId m = 0; m < p.graph.node_count(); ++m) {
+      if (m == p.source) continue;
+      const std::vector<NodeId> sources{p.source, m};
+      const MultiSourceSolution reference = solve_multisource_ub(p, sources);
+      const LpValue value = multisource_ub_value(p, sources);
+      const bool agree =
+          value.status == reference.status &&
+          (!reference.ok() || std::abs(value.period - reference.period) <=
+                                  1e-9 * std::abs(reference.period));
+      if (!agree) {
+        std::printf("smoke lan=%d sources {%d, %d}: per-origin %.17g (%s) "
+                    "vs per-commodity %.17g (%s) MISMATCH\n",
+                    lan, p.source, m, value.period,
+                    lp::to_string(value.status), reference.period,
+                    lp::to_string(reference.status));
+        ++disagreements;
+      }
+      ++lists;
+    }
+    std::printf("smoke lan=%d %-20s %d source lists, %d disagreements %s\n",
+                lan, "multisource_value", lists, disagreements,
+                disagreements == 0 ? "OK" : "MISMATCH");
+    failures += disagreements;
   }
   std::printf("smoke: %d mismatches\n", failures);
   return failures == 0 ? 0 : 1;

@@ -216,12 +216,9 @@ double MultiSourceSolution::node_inflow(const Digraph& g, NodeId m) const {
   return total;
 }
 
-namespace {
-
-MultiSourceSolution solve_multisource_impl(const MulticastProblem& problem,
-                                           std::span<const NodeId> sources,
-                                           const FormulationOptions& options,
-                                           lp::IncrementalSimplex* solver) {
+MultiSourceSolution solve_multisource_ub(const MulticastProblem& problem,
+                                         std::span<const NodeId> sources,
+                                         const FormulationOptions& options) {
   MultiSourceSolution out;
   const Digraph& g = problem.graph;
   const int E = g.edge_count();
@@ -347,9 +344,9 @@ MultiSourceSolution solve_multisource_impl(const MulticastProblem& problem,
   }
   cols.flush(model, period_var, 0.0, lp::kInf, 1.0, "T");
 
-  lp::Solution sol = solver != nullptr ? solver->solve_model(model)
-                                       : lp::solve(model, options.solver);
+  lp::Solution sol = lp::solve(model, options.solver);
   out.status = sol.status;
+  out.iterations = sol.iterations;
   if (!sol.optimal()) return out;
   out.period = sol.objective;
   out.flows.assign(static_cast<size_t>(K),
@@ -363,18 +360,99 @@ MultiSourceSolution solve_multisource_impl(const MulticastProblem& problem,
   return out;
 }
 
-}  // namespace
+LpValue multisource_ub_value(const MulticastProblem& problem,
+                             std::span<const NodeId> sources,
+                             const FormulationOptions& options) {
+  LpValue out;
+  const Digraph& g = problem.graph;
+  const int N = g.node_count();
+  const int E = g.edge_count();
+  const int S = static_cast<int>(sources.size());
+  assert(!sources.empty() && sources[0] == problem.source);
 
-MultiSourceSolution solve_multisource_ub(const MulticastProblem& problem,
-                                         std::span<const NodeId> sources,
-                                         const FormulationOptions& options) {
-  return solve_multisource_impl(problem, sources, options, nullptr);
-}
+  // Destination d may be served by origins 0..limit[d]-1: s_i by the
+  // sources before it, a target outside S by every source. 0 = not a
+  // destination.
+  std::vector<int> limit(static_cast<size_t>(N), 0);
+  for (NodeId t : problem.targets) limit[static_cast<size_t>(t)] = S;
+  for (int i = 0; i < S; ++i) {
+    limit[static_cast<size_t>(sources[static_cast<size_t>(i)])] = i;
+  }
+  // Variables: F_{o,e} o-major, then y_{o,d} per destination, then T*.
+  std::vector<int> split0(static_cast<size_t>(N), -1);  // y_{0,d}
+  int vars = S * E;
+  for (NodeId d = 0; d < N; ++d) {
+    if (limit[static_cast<size_t>(d)] == 0) continue;
+    split0[static_cast<size_t>(d)] = vars;
+    vars += limit[static_cast<size_t>(d)];
+  }
+  if (vars == S * E) {  // no destination: nothing to ship
+    out.status = lp::SolveStatus::Optimal;
+    return out;
+  }
+  auto fvar = [&](int o, int e) { return o * E + e; };
+  const int period_var = vars;
+  lp::Model model(lp::Sense::Minimize);
+  ColumnBuffer cols(period_var + 1);
 
-MultiSourceSolution solve_multisource_ub_incremental(
-    const MulticastProblem& problem, std::span<const NodeId> sources,
-    const FormulationOptions& options, lp::IncrementalSimplex& solver) {
-  return solve_multisource_impl(problem, sources, options, &solver);
+  // Every destination receives one full unit, split over its origins.
+  for (NodeId d = 0; d < N; ++d) {
+    const int y0 = split0[static_cast<size_t>(d)];
+    if (y0 < 0) continue;
+    int r = model.add_row_eq(1.0);
+    for (int o = 0; o < limit[static_cast<size_t>(d)]; ++o) {
+      cols.add(r, y0 + o, 1.0);
+    }
+  }
+  // Net-flow conservation of F_o away from s_o: what stays at j is y_{o,j}.
+  for (int o = 0; o < S; ++o) {
+    const NodeId origin = sources[static_cast<size_t>(o)];
+    for (NodeId j = 0; j < N; ++j) {
+      if (j == origin) continue;
+      int r = model.add_row_eq(0.0);
+      for (EdgeId e : g.in_edges(j)) cols.add(r, fvar(o, e), 1.0);
+      for (EdgeId e : g.out_edges(j)) cols.add(r, fvar(o, e), -1.0);
+      if (o < limit[static_cast<size_t>(j)]) {
+        cols.add(r, split0[static_cast<size_t>(j)] + o, -1.0);
+      }
+    }
+  }
+  // (7,8,9) on the scatter load sum_o F_{o,e}.
+  for (int e = 0; e < E; ++e) {
+    int r = model.add_row_ge(0.0);
+    cols.add(r, period_var, 1.0);
+    for (int o = 0; o < S; ++o) cols.add(r, fvar(o, e), -g.edge(e).cost);
+  }
+  for (NodeId j = 0; j < N; ++j) {
+    int rin = model.add_row_ge(0.0);
+    cols.add(rin, period_var, 1.0);
+    for (EdgeId e : g.in_edges(j)) {
+      for (int o = 0; o < S; ++o) cols.add(rin, fvar(o, e), -g.edge(e).cost);
+    }
+    int rout = model.add_row_ge(0.0);
+    cols.add(rout, period_var, 1.0);
+    for (EdgeId e : g.out_edges(j)) {
+      for (int o = 0; o < S; ++o) cols.add(rout, fvar(o, e), -g.edge(e).cost);
+    }
+  }
+
+  for (int o = 0; o < S; ++o) {
+    const NodeId origin = sources[static_cast<size_t>(o)];
+    for (int e = 0; e < E; ++e) {
+      const bool into_origin = g.edge(e).to == origin;
+      cols.flush(model, fvar(o, e), 0.0, into_origin ? 0.0 : lp::kInf, 0.0);
+    }
+  }
+  for (int v = S * E; v < period_var; ++v) {
+    cols.flush(model, v, 0.0, lp::kInf, 0.0);
+  }
+  cols.flush(model, period_var, 0.0, lp::kInf, 1.0, "T");
+
+  lp::Solution sol = lp::solve(model, options.solver);
+  out.status = sol.status;
+  out.iterations = sol.iterations;
+  if (sol.optimal()) out.period = sol.objective;
+  return out;
 }
 
 // ------------------------------------------------------ MaskedBroadcastEb --

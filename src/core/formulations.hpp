@@ -18,6 +18,29 @@
 ///    acquires the full message from earlier sources, then helps serve the
 ///    targets. Scatter aggregation keeps it reconstructible.
 ///
+/// MulticastMultiSource-UB has two programs with one optimal value:
+///
+///  * per commodity (solve_multisource_ub) — one flow per (origin,
+///    destination) pair, |S|·|T| commodities. Its optimal vertex is what
+///    Fig. 8 scores candidates with (node inflows) and what
+///    build_multisource_schedule() turns into a schedule, so it is the
+///    program of record.
+///  * per origin (multisource_ub_value) — one flow F_o per origin s_o,
+///    zero on edges entering s_o, and a split y_{o,d} of every destination
+///    d over its allowed origins; net-flow rows in(F_o, j) − out(F_o, j) =
+///    y_{o,j} at every node j ≠ s_o. The scatter rows see commodities only
+///    through their per-edge sum, so the commodities of one origin merge
+///    into F_o without changing any load, and a path decomposition of F_o
+///    splits it back without raising any: the values are equal. It has |S|
+///    flows instead of |S|·|T| (97 × 80 against 365 × 182 at |S| = |T| = 3
+///    on a 10-node, 28-edge platform), and net-flow rows cannot be met by a
+///    bounce, so the per-commodity bans on flow leaving a destination are
+///    not needed. It returns the value only: its optimum is highly
+///    degenerate, and its flows would score candidates differently from
+///    the program of record. Fig. 8 probes every candidate promotion with
+///    it and solves the program of record only for a candidate whose probe
+///    improves the current period.
+///
 /// All programs minimise the period T* of a unit-size message under the
 /// one-port constraints (7,8,9). The t and n variables of the paper are
 /// folded into the rows (DESIGN.md §5).
@@ -156,22 +179,34 @@ struct MultiSourceSolution {
   std::vector<Commodity> commodities;
   std::vector<std::vector<double>> flows;
 
+  /// Simplex iterations of the underlying LP solve.
+  int iterations = 0;
+
   bool ok() const { return status == lp::SolveStatus::Optimal; }
   double node_inflow(const Digraph& g, NodeId m) const;
 };
 
 /// MulticastMultiSource-UB(P, Ptarget, Psource): \p sources is the ordered
 /// list of intermediate sources, sources[0] being the original source.
+/// The per-commodity program (see the file comment).
 MultiSourceSolution solve_multisource_ub(
     const MulticastProblem& problem, std::span<const NodeId> sources,
     const FormulationOptions& options = {});
 
-/// As above, but solved through \p solver so consecutive same-shape
-/// programs (Fig. 8 probes one candidate promotion at a time, all trials
-/// of a round sharing the commodity layout) warm-start from the previous
-/// basis. Iteration/warm counters accumulate in solver.stats().
-MultiSourceSolution solve_multisource_ub_incremental(
-    const MulticastProblem& problem, std::span<const NodeId> sources,
-    const FormulationOptions& options, lp::IncrementalSimplex& solver);
+/// Outcome of a program solved for its optimal value only.
+struct LpValue {
+  lp::SolveStatus status = lp::SolveStatus::Numerical;
+  double period = 0.0;  ///< optimal T* (meaningful when ok())
+  int iterations = 0;   ///< simplex iterations of the solve
+
+  bool ok() const { return status == lp::SolveStatus::Optimal; }
+};
+
+/// The optimal period of MulticastMultiSource-UB(P, Ptarget, \p sources)
+/// from the per-origin program (see the file comment): same status and
+/// value as solve_multisource_ub() up to floating-point rounding, no flows.
+LpValue multisource_ub_value(const MulticastProblem& problem,
+                             std::span<const NodeId> sources,
+                             const FormulationOptions& options = {});
 
 }  // namespace pmcast::core

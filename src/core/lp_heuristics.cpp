@@ -263,24 +263,25 @@ AugmentedSourcesResult augmented_sources(const MulticastProblem& problem,
                                          const HeuristicOptions& options) {
   AugmentedSourcesResult result;
   const Digraph& g = problem.graph;
-
-  // One persistent solver for the whole promotion sequence: all candidate
-  // programs of a round share the commodity layout, so probes 2..k of each
-  // round warm-start from the previous probe's basis. Accepted promotions
-  // grow the program (more commodities) and re-run cold automatically.
-  lp::IncrementalSimplex solver(options.lp.solver);
-  auto solve_ms = [&](std::span<const NodeId> sources) {
-    if (!options.warm_start) solver.reset();
-    return solve_multisource_ub_incremental(problem, sources, options.lp,
-                                            solver);
+  auto count = [&](int iterations) {
+    ++result.lp_solves;
+    result.lp_stats.solves += 1;
+    result.lp_stats.iterations += iterations;
   };
 
+  // The per-commodity program of record scores the candidates (its
+  // optimal vertex's inflows) and is what the schedule is built from; the
+  // per-origin program only answers "would this promotion improve the
+  // period?" at a fraction of the size (formulations.hpp). A probe that
+  // clears half the improvement tolerance is re-solved with the program of
+  // record, and only that solve decides acceptance. The two values agree
+  // to rounding, far inside the half tolerance, so the promotion sequence
+  // is the one the program of record alone would take.
   result.sources = {problem.source};
-  result.solution = solve_ms(result.sources);
-  ++result.lp_solves;
+  result.solution = solve_multisource_ub(problem, result.sources, options.lp);
+  count(result.solution.iterations);
   if (!result.solution.ok()) {
     result.aborted = result.solution.status == lp::SolveStatus::Aborted;
-    result.lp_stats = solver.stats();
     return result;
   }
   result.ok = true;
@@ -306,16 +307,24 @@ AugmentedSourcesResult augmented_sources(const MulticastProblem& problem,
     int probed = 0;
     for (NodeId m : order) {
       if (stop_requested(options.control, planned, probed, result)) {
-        result.lp_stats = solver.stats();
         return result;
       }
       if (++probed > options.max_candidates) break;
       std::vector<NodeId> trial = result.sources;
       trial.push_back(m);
-      MultiSourceSolution candidate = solve_ms(trial);
-      ++result.lp_solves;
+      LpValue probe = multisource_ub_value(problem, trial, options.lp);
+      count(probe.iterations);
+      if (probe_interrupted(probe.status, planned, probed, result)) {
+        return result;
+      }
+      if (!probe.ok() ||
+          probe.period >= result.period - kImprovementTol / 2) {
+        continue;
+      }
+      MultiSourceSolution candidate =
+          solve_multisource_ub(problem, trial, options.lp);
+      count(candidate.iterations);
       if (probe_interrupted(candidate.status, planned, probed, result)) {
-        result.lp_stats = solver.stats();
         return result;
       }
       if (candidate.ok() &&
@@ -329,7 +338,6 @@ AugmentedSourcesResult augmented_sources(const MulticastProblem& problem,
     }
     if (!improved) break;
   }
-  result.lp_stats = solver.stats();
   return result;
 }
 

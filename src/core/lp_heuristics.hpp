@@ -12,7 +12,11 @@
 ///   of the grown sub-platform improves.
 /// * augmented_sources() — Fig. 8: keep the full platform but promote
 ///   high-inflow nodes to intermediate sources, re-solving
-///   MulticastMultiSource-UB after every promotion.
+///   MulticastMultiSource-UB for every candidate promotion. Candidates are
+///   probed with the program's per-origin form (value only); one whose
+///   probe improves the period is re-solved with the per-commodity form,
+///   which decides acceptance and whose flows score the next round and
+///   build the schedule.
 ///
 /// One deviation from the paper's pseudo-code, recorded in EXPERIMENTS.md:
 /// acceptance requires a *strict* period improvement (the pseudo-code's
@@ -54,9 +58,10 @@ struct HeuristicOptions {
   FormulationOptions lp;
   int max_rounds = 64;      ///< outer improvement rounds
   int max_candidates = 64;  ///< candidates probed per round
-  /// Re-solve each heuristic's LP sequence incrementally (basis + eta
-  /// reuse, see lp/resolve.hpp). Off = rebuild and cold-solve every LP,
-  /// the pre-warm-start behaviour kept for differential testing.
+  /// Re-solve the masked Broadcast-EB sequence of reduced_broadcast and
+  /// augmented_multicast incrementally (basis + eta reuse, see
+  /// lp/resolve.hpp). Off = cold-solve every LP, kept for differential
+  /// testing. augmented_sources solves every program cold either way.
   bool warm_start = true;
   /// Runtime-supplied abort/convergence hooks (default: never fire).
   ProbeControl control;
@@ -85,9 +90,9 @@ struct AugmentedSourcesResult {
   bool ok = false;
   double period = kInfinity;
   std::vector<NodeId> sources;  ///< ordered intermediate sources (incl. Psource)
-  MultiSourceSolution solution;
-  int lp_solves = 0;
-  lp::ResolveStats lp_stats;    ///< warm-start counters of the LP sequence
+  MultiSourceSolution solution;  ///< per-commodity solution of `sources`
+  int lp_solves = 0;            ///< probes and per-commodity solves
+  lp::ResolveStats lp_stats;    ///< solves and iterations of both kinds
   bool aborted = false;         ///< stopped by ProbeControl::should_abort
   bool converged = false;       ///< stopped by ProbeControl::converged
   int probes_skipped = 0;       ///< probes of the interrupted round not run

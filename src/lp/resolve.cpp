@@ -75,16 +75,6 @@ Solution IncrementalSimplex::solve(const ResolvableModel& rm) {
   return sol;
 }
 
-Solution IncrementalSimplex::solve_model(const Model& model) {
-  bound_serial_ = 0;  // a free-standing model invalidates eta reuse
-  const Reuse reuse = !last_basis_.empty() &&
-                              last_vars_ == model.num_vars() &&
-                              last_rows_ == model.num_rows()
-                          ? Reuse::Basis
-                          : Reuse::Cold;
-  return solve_internal(model, reuse);
-}
-
 Solution IncrementalSimplex::solve_internal(const Model& model, Reuse reuse) {
   ++stats_.solves;
   const int n = model.num_vars();

@@ -1,10 +1,10 @@
 #pragma once
 /// \file resolve.hpp
 /// Warm-started / incremental LP resolution, the substrate of the paper's
-/// refinement heuristics (Figs. 6/7/8): each heuristic solves dozens of
-/// closely-related LPs, and rebuilding + cold-solving every one dominates
-/// the portfolio's latency. This layer keeps the simplex state alive
-/// between solves:
+/// platform heuristics (Figs. 6/7) and of column generation: each solves
+/// dozens of closely-related LPs, and rebuilding + cold-solving every one
+/// dominates the portfolio's latency. This layer keeps the simplex state
+/// alive between solves:
 ///
 ///  * ResolvableModel — an lp::Model plus mutation tracking: in-place
 ///    edits of variable bounds, objective coefficients and row bounds are
@@ -218,12 +218,6 @@ class IncrementalSimplex {
   /// otherwise. Falls back to a cold solve when a warm attempt does not
   /// reach optimality.
   Solution solve(const ResolvableModel& rm);
-
-  /// Solve a free-standing model, warm-starting from the last successful
-  /// basis when the shape matches (no eta reuse). For sequences that
-  /// rebuild the model each step (e.g. Fig. 8's per-candidate multisource
-  /// programs).
-  Solution solve_model(const Model& model);
 
   /// Drop all remembered state; the next solve runs cold.
   void reset();

@@ -777,7 +777,7 @@ Simplex::LoopResult Simplex::iterate(bool phase1) {
     if (iterations_ >= max_iters_) return LoopResult::IterLimit;
     if (until_poll >= 0 && --until_poll < 0) {
       until_poll = poll_every;
-      switch (opt_.checkpoint()) {
+      switch (opt_.checkpoint(polls_++)) {
         case CheckpointAction::Continue: break;
         case CheckpointAction::Abort: return LoopResult::Aborted;
       }
@@ -869,6 +869,7 @@ Solution Simplex::run(const Model& model) {
   sol.dual.assign(static_cast<size_t>(m_), 0.0);
 
   iterations_ = 0;
+  polls_ = 0;
   degenerate_run_ = 0;
   bland_ = false;
   // Each run opens a fresh devex reference framework.

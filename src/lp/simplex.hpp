@@ -47,6 +47,11 @@ enum class CheckpointAction {
   Abort,  ///< stop now; solve returns SolveStatus::Aborted
 };
 
+/// SolverOptions::checkpoint. \p poll is the poll's index within the
+/// running solve: 0 opens a solve, so a hook serving a sequence of solves
+/// can tell time spent inside one solve from time spent between two.
+using CheckpointHook = std::function<CheckpointAction(int poll)>;
+
 /// Entering-variable selection rule.
 enum class PricingRule {
   /// Most-negative reduced cost. The historical default — every bit-exact
@@ -78,7 +83,7 @@ struct SolverOptions {
   /// one checkpoint interval and report SolveStatus::Aborted; the
   /// partially-iterated state is discarded by callers (no Solution values
   /// are extracted for non-Optimal statuses). Null = never polled.
-  std::function<CheckpointAction()> checkpoint;
+  CheckpointHook checkpoint;
   /// Iterations between checkpoint polls. A poll is two atomic loads and a
   /// clock read in the runtime's guards — far below the cost of one pivot
   /// (a full BTRAN + pricing pass + FTRAN) — so a small interval buys

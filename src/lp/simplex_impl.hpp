@@ -331,6 +331,7 @@ class Simplex {
   ReinversionCounts reinversions_;
 
   int iterations_ = 0;
+  int polls_ = 0;  // checkpoint polls of the current run()
   int max_iters_ = 0;
   int degenerate_run_ = 0;
   bool bland_ = false;

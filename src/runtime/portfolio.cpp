@@ -202,7 +202,7 @@ void certify_platform(const MulticastProblem& problem,
 void run_exact_colgen(const MulticastProblem& problem,
                       const PortfolioOptions& options,
                       const BudgetGuard& guard,
-                      const std::function<lp::CheckpointAction()>& checkpoint,
+                      const lp::CheckpointHook& checkpoint,
                       CandidateOutcome& out) {
   core::ColumnGenLimits limits;
   limits.should_abort = [&guard] { return guard.expired(); };
@@ -240,7 +240,7 @@ void run_exact_colgen(const MulticastProblem& problem,
 
 void run_exact(const MulticastProblem& problem,
                const PortfolioOptions& options, const BudgetGuard& guard,
-               const std::function<lp::CheckpointAction()>& checkpoint,
+               const lp::CheckpointHook& checkpoint,
                CandidateOutcome& out) {
   // Guard against sentinel-valued budgets (SolveBudget::inherit()) that
   // reach a solve without being resolve()d against engine defaults:
@@ -508,29 +508,31 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
 
 }  // namespace
 
-std::function<lp::CheckpointAction()> lp_checkpoint(const BudgetGuard& guard,
-                                                    Tracer* tracer, int slot,
-                                                    std::uint8_t strategy) {
+lp::CheckpointHook lp_checkpoint(const BudgetGuard& guard, Tracer* tracer,
+                                int slot, std::uint8_t strategy) {
   if (tracer == nullptr || !tracer->enabled()) {
-    return [&guard] {
+    return [&guard](int) {
       return guard.expired() ? lp::CheckpointAction::Abort
                              : lp::CheckpointAction::Continue;
     };
   }
-  // Checkpoint-gap state shared by every LP solve the hook serves; only
-  // allocated when tracing is on, so a disabled tracer adds no heap
-  // traffic to the hot path.
+  // Checkpoint-gap state of the hook's LP solves; only allocated when
+  // tracing is on, so a disabled tracer adds no heap traffic to the hot
+  // path. A gap is measured between two polls of one solve: the first
+  // poll of a solve (poll 0) only restarts the clock, so model building
+  // and certification between solves never count as checkpoint latency.
   struct Gap {
     Clock::time_point prev{};
     bool first = true;
   };
   auto gap = std::make_shared<Gap>();
-  return [&guard, tracer, slot, strategy, gap] {
+  return [&guard, tracer, slot, strategy, gap](int poll) {
     const Clock::time_point now = Clock::now();
     if (gap->first) {
       gap->first = false;
       tracer->event(TraceEventKind::FirstLpCheckpoint, slot, strategy, 0.0);
-    } else {
+    }
+    if (poll > 0) {
       tracer->checkpoint_gap(
           std::chrono::duration<double, std::micro>(now - gap->prev).count());
     }

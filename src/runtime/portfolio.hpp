@@ -159,11 +159,10 @@ int strategy_stage(StrategyId strategy);
 /// The lp::SolverOptions::checkpoint hook of one LP solve sequence (a
 /// strategy, or the race's Multicast-LB probe): Abort once \p guard has
 /// expired. With an enabled \p tracer it also records the gap between
-/// consecutive checkpoints and, once, the FirstLpCheckpoint event of
-/// \p slot (a negative slot records no event). \p guard and \p tracer
-/// must outlive the hook.
-std::function<lp::CheckpointAction()> lp_checkpoint(const BudgetGuard& guard,
-                                                    Tracer* tracer, int slot,
-                                                    std::uint8_t strategy);
+/// consecutive checkpoints of one solve (never across two solves) and,
+/// once, the FirstLpCheckpoint event of \p slot (a negative slot records
+/// no event). \p guard and \p tracer must outlive the hook.
+lp::CheckpointHook lp_checkpoint(const BudgetGuard& guard, Tracer* tracer,
+                                 int slot, std::uint8_t strategy);
 
 }  // namespace pmcast::runtime

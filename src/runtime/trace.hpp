@@ -152,7 +152,8 @@ class Tracer {
   /// so call sites can pass "infinity" when no bound existed yet.
   void predicate(CutPredicate predicate, bool hit, double miss_margin);
 
-  /// Record the gap between two consecutive LP budget checkpoints.
+  /// Record the gap between two consecutive LP budget checkpoints of one
+  /// solve.
   void checkpoint_gap(double gap_us);
 
   /// Append a timeline event for \p slot (single writer per slot).

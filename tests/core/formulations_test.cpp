@@ -2,9 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/paper_examples.hpp"
+#include "graph/io.hpp"
 #include "graph/rng.hpp"
 #include "topology/tiers.hpp"
+
+#ifndef PMCAST_TEST_DATA_DIR
+#error "PMCAST_TEST_DATA_DIR must point at tests/data (set by CMake)"
+#endif
 
 namespace pmcast::core {
 namespace {
@@ -138,6 +149,93 @@ TEST(Formulations, ExtraSourceNeverHurts) {
   // Promoting the hub collapses the scatter bottleneck: the hub serves all
   // targets while the source only refills the hub.
   EXPECT_LT(s2.period, s1.period - 0.5);
+}
+
+/// Platform files of the golden corpus (tests/data/golden_manifest.txt).
+std::vector<std::string> golden_files() {
+  std::ifstream in(std::string(PMCAST_TEST_DATA_DIR) +
+                   "/golden_manifest.txt");
+  EXPECT_TRUE(in.good()) << "missing tests/data/golden_manifest.txt";
+  std::vector<std::string> files;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream ls(line);
+    std::string file;
+    if (line.empty() || line[0] == '#' || !(ls >> file)) continue;
+    files.push_back(file);
+  }
+  return files;
+}
+
+TEST(Formulations, PerOriginMultiSourceValueMatchesPerCommodity) {
+  // The per-origin program is a value oracle for the per-commodity one:
+  // same status and period on every ordered source list of 1-3 nodes.
+  const std::vector<std::string> files = golden_files();
+  ASSERT_GE(files.size(), 10u);
+  int compared = 0;
+  for (const std::string& file : files) {
+    auto platform =
+        load_platform(std::string(PMCAST_TEST_DATA_DIR) + "/" + file);
+    ASSERT_TRUE(platform.ok()) << file;
+    MulticastProblem p(platform->graph, platform->source, platform->targets);
+    const int n = p.graph.node_count();
+    auto compare = [&](const std::vector<NodeId>& sources) {
+      auto reference = solve_multisource_ub(p, sources);
+      auto value = multisource_ub_value(p, sources);
+      std::string ctx = file + " sources";
+      for (NodeId s : sources) ctx.append(" ").append(std::to_string(s));
+      ASSERT_EQ(value.status, reference.status) << ctx;
+      if (reference.ok()) {
+        EXPECT_NEAR(value.period, reference.period,
+                    1e-9 * std::abs(reference.period))
+            << ctx;
+      }
+      ++compared;
+    };
+    compare({p.source});
+    for (NodeId a = 0; a < n; ++a) {
+      if (a == p.source) continue;
+      compare({p.source, a});
+      for (NodeId b = 0; b < n; ++b) {
+        if (b == p.source || b == a) continue;
+        compare({p.source, a, b});
+      }
+    }
+  }
+  EXPECT_GE(compared, 800);  // 889 lists on the 15-platform corpus
+}
+
+TEST(Formulations, PerOriginMultiSourceValueOnSmallCases) {
+  // No destination left: both programs are trivially optimal at 0.
+  Digraph g(2);
+  g.add_edge(0, 1, 2.0);
+  MulticastProblem none(g, 0, {});
+  std::vector<NodeId> source{0};
+  auto value = multisource_ub_value(none, source);
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(value.period, 0.0);
+  EXPECT_EQ(value.iterations, 0);
+
+  // Figure 5: promoting the hub collapses the scatter bottleneck; the
+  // value oracle sees the same drop as the program of record.
+  MulticastProblem p = figure5_example(4);
+  std::vector<NodeId> two{p.source, NodeId{1}};
+  auto reference = solve_multisource_ub(p, two);
+  auto probe = multisource_ub_value(p, two);
+  ASSERT_TRUE(reference.ok() && probe.ok());
+  EXPECT_NEAR(probe.period, reference.period, kTol);
+  EXPECT_GT(probe.iterations, 0);
+
+  // A target no source reaches: both programs are infeasible.
+  Digraph cut(3);
+  cut.add_edge(0, 1, 1.0);
+  cut.add_edge(2, 1, 1.0);
+  MulticastProblem unreachable(cut, 0, {1, 2});
+  std::vector<NodeId> both{0, 1};
+  EXPECT_EQ(solve_multisource_ub(unreachable, both).status,
+            lp::SolveStatus::Infeasible);
+  EXPECT_EQ(multisource_ub_value(unreachable, both).status,
+            lp::SolveStatus::Infeasible);
 }
 
 class BoundChainOnTiers : public ::testing::TestWithParam<std::uint64_t> {};

@@ -111,14 +111,15 @@ TEST(IncrementalSimplex, StructuralGrowthRunsColdAndStillSolves) {
 TEST(IncrementalSimplex, SameShapeModelsWarmStartAcrossRebuilds) {
   IncrementalSimplex solver;
   Model a = random_lp(7, 30);
-  Solution cold = solver.solve_model(a);
+  Solution cold = solver.solve(ResolvableModel(a));
   ASSERT_TRUE(cold.optimal());
   EXPECT_EQ(solver.stats().warm_starts, 0);
 
-  // Perturb the objective only; same shape, freshly built model.
+  // Perturb the objective only; same shape, freshly built model (a new
+  // ResolvableModel, so the eta file cannot carry over, only the basis).
   Model b = a;
   for (int j = 0; j < b.num_vars(); ++j) b.set_obj(j, b.obj(j) + 0.01);
-  Solution warm = solver.solve_model(b);
+  Solution warm = solver.solve(ResolvableModel(b));
   ASSERT_TRUE(warm.optimal());
   EXPECT_EQ(solver.stats().warm_starts, 1);
   EXPECT_EQ(solver.stats().eta_reuses, 0);  // rebuilt, basis-only warm
@@ -131,8 +132,8 @@ TEST(IncrementalSimplex, SameShapeModelsWarmStartAcrossRebuilds) {
 
 TEST(IncrementalSimplex, ShapeMismatchRunsCold) {
   IncrementalSimplex solver;
-  ASSERT_TRUE(solver.solve_model(random_lp(3, 20)).optimal());
-  Solution sol = solver.solve_model(random_lp(4, 25));
+  ASSERT_TRUE(solver.solve(ResolvableModel(random_lp(3, 20))).optimal());
+  Solution sol = solver.solve(ResolvableModel(random_lp(4, 25)));
   ASSERT_TRUE(sol.optimal());
   EXPECT_EQ(solver.stats().warm_starts, 0);
   EXPECT_EQ(solver.stats().solves, 2);

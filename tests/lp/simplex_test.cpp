@@ -241,7 +241,8 @@ TEST(SimplexCheckpoint, AbortStopsWithinOneInterval) {
   SolverOptions options;
   options.checkpoint_every = 16;
   int polls = 0;
-  options.checkpoint = [&polls]() {
+  options.checkpoint = [&polls](int poll) {
+    EXPECT_EQ(poll, polls);  // one solve: indices count up from 0
     return ++polls >= 3 ? CheckpointAction::Abort
                         : CheckpointAction::Continue;
   };
@@ -262,7 +263,7 @@ TEST(SimplexCheckpoint, ContinueVerdictsDoNotPerturbTheSolve) {
   SolverOptions options;
   options.checkpoint_every = 8;
   int polls = 0;
-  options.checkpoint = [&polls]() {
+  options.checkpoint = [&polls](int) {
     ++polls;
     return CheckpointAction::Continue;
   };

@@ -9,10 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 
+#include "graph/io.hpp"
 #include "graph/rng.hpp"
 #include "runtime/runtime.hpp"
 #include "topology/tiers.hpp"
+
+#ifndef PMCAST_TEST_DATA_DIR
+#error "PMCAST_TEST_DATA_DIR must point at tests/data (set by CMake)"
+#endif
 
 namespace pmcast::runtime {
 namespace {
@@ -185,6 +191,52 @@ TEST(BudgetGuard, SplitsDeadlineFromCancellation) {
   EXPECT_TRUE(cancelled.cancelled());
   EXPECT_FALSE(cancelled.deadline_passed());
   EXPECT_TRUE(cancelled.expired());
+}
+
+TEST(BudgetGuard, AugmentedSourcesCutMidHeuristicIsSkippedNeverCertified) {
+  // Deadlines spread over the strategy's run land in value probes, in the
+  // per-commodity re-solve of an accepted promotion and between probes.
+  // Every cut run reports Skipped "deadline expired mid-heuristic"; a run
+  // the deadline does not reach certifies the uninterrupted period.
+  int mid_heuristic = 0;
+  for (const char* file : {"tiers-n8-d50u-s1.platform",
+                           "star-n9-d50h-s10.platform",
+                           "fat_tree-n8-d50u-s1.platform"}) {
+    auto platform =
+        load_platform(std::string(PMCAST_TEST_DATA_DIR) + "/" + file);
+    ASSERT_TRUE(platform.ok()) << file;
+    core::MulticastProblem problem(platform->graph, platform->source,
+                                   platform->targets);
+    const PortfolioOptions options;
+    const Clock::time_point start = Clock::now();
+    const CandidateOutcome full = run_strategy(
+        problem, StrategyId::AugmentedSources, options, BudgetGuard{});
+    const std::chrono::duration<double, std::milli> full_ms =
+        Clock::now() - start;
+    ASSERT_EQ(full.state, CandidateState::Certified) << file;
+
+    for (int step = 1; step < 20; ++step) {
+      BudgetGuard guard;
+      guard.deadline =
+          Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                             full_ms * (step / 20.0));
+      const CandidateOutcome out = run_strategy(
+          problem, StrategyId::AugmentedSources, options, guard);
+      const std::string ctx =
+          std::string(file) + " deadline at " + std::to_string(step) + "/20";
+      if (out.state == CandidateState::Certified) {
+        EXPECT_EQ(out.period, full.period) << ctx;
+        continue;
+      }
+      ASSERT_EQ(out.state, CandidateState::Skipped)
+          << ctx << ": " << out.detail;
+      EXPECT_EQ(out.skip_reason, SkipReason::DeadlineExpired) << ctx;
+      if (out.detail == "budget exhausted before start") continue;
+      EXPECT_EQ(out.detail, "deadline expired mid-heuristic") << ctx;
+      ++mid_heuristic;
+    }
+  }
+  EXPECT_GT(mid_heuristic, 0);
 }
 
 }  // namespace

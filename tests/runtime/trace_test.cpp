@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -15,8 +16,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/formulations.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/trace.hpp"
+#include "scenario/generator.hpp"
 
 // ------------------------------------------------------- allocation counter --
 // Process-wide operator new/delete replacements that count every heap
@@ -220,6 +223,41 @@ TEST(Trace, SlotOverflowDropsInsteadOfCorrupting) {
     EXPECT_DOUBLE_EQ(s.timeline[static_cast<std::size_t>(i)].value,
                      static_cast<double>(i));
   }
+}
+
+// ----------------------------------------------------- checkpoint latency --
+
+TEST(Trace, CheckpointGapsNeverSpanTwoSolves) {
+  // One hook serves a sequence of LP solves. The 20 ms between two solves
+  // is not checkpoint latency: the first poll of each solve restarts the
+  // clock, and every later poll records its gap.
+  scenario::ScenarioSpec spec;
+  spec.family = scenario::Family::Grid;
+  spec.nodes = 12;
+  const core::MulticastProblem problem =
+      scenario::generate_scenario(spec).problem;
+
+  Tracer tracer(TraceDetail::Counters, 1);
+  const BudgetGuard guard;
+  const lp::CheckpointHook hook = lp_checkpoint(guard, &tracer, 0, 0);
+  int polls = 0;
+  core::FormulationOptions options;
+  options.solver.checkpoint_every = 1;
+  options.solver.checkpoint = [&](int poll) {
+    ++polls;
+    return hook(poll);
+  };
+  const core::FlowSolution first = core::solve_multicast_ub(problem, options);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const core::FlowSolution second = core::solve_multicast_ub(problem, options);
+  ASSERT_TRUE(first.ok() && second.ok());
+
+  const TraceSummary s = tracer.summary();
+  ASSERT_GT(polls, 4);
+  EXPECT_EQ(s.checkpoint_polls, static_cast<std::uint64_t>(polls - 2))
+      << "every poll but the first of each solve records a gap";
+  EXPECT_LT(s.checkpoint_max_us, 16'000.0);
+  EXPECT_EQ(s.checkpoint_hist[kCheckpointBuckets - 1], 0u);
 }
 
 // --------------------------------------------------------- zero overhead --
