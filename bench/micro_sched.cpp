@@ -27,6 +27,23 @@ std::vector<Communication> random_comms(int nodes, int count,
   return comms;
 }
 
+/// K streams over one shared 40-hop set at distinct rates: the shape of a
+/// column-generation certificate, whose trees reuse the same edges.
+std::vector<Transfer> shared_hop_transfers(int streams) {
+  constexpr int kNodes = 30;
+  constexpr int kHops = 40;
+  auto hops = random_comms(kNodes, kHops, 11);
+  std::vector<Transfer> transfers;
+  for (int k = 0; k < streams; ++k) {
+    const double rate = (1.0 + 0.1 * k) / streams;
+    for (int h = 0; h < kHops; ++h) {
+      const Communication& c = hops[static_cast<size_t>(h)];
+      transfers.push_back({c.sender, c.receiver, rate * c.duration, k, h % 4});
+    }
+  }
+  return transfers;
+}
+
 void BM_EdgeColoring(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
   auto comms = random_comms(nodes, nodes * 4, 3);
@@ -52,12 +69,28 @@ void BM_BuildSchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildSchedule)->Arg(30)->Arg(65)->Unit(benchmark::kMicrosecond);
 
+void BM_BuildScheduleSharedHops(benchmark::State& state) {
+  auto transfers = shared_hop_transfers(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    auto schedule = build_schedule(transfers, 30);
+    benchmark::DoNotOptimize(schedule.slots.size());
+  }
+}
+BENCHMARK(BM_BuildScheduleSharedHops)->Arg(1)->Arg(8)->Arg(32)->Unit(
+    benchmark::kMicrosecond);
+
+/// Arg 0: 260 random transfers on 65 nodes. Arg 32: the K = 32 shared-hop
+/// schedule of BM_BuildScheduleSharedHops.
 void BM_ValidateSchedule(benchmark::State& state) {
-  const int nodes = 65;
-  auto comms = random_comms(nodes, nodes * 4, 7);
+  int nodes = 65;
   std::vector<Transfer> transfers;
-  for (const auto& c : comms) {
-    transfers.push_back({c.sender, c.receiver, c.duration, 0, 0});
+  if (state.range(0) == 0) {
+    for (const auto& c : random_comms(nodes, nodes * 4, 7)) {
+      transfers.push_back({c.sender, c.receiver, c.duration, 0, 0});
+    }
+  } else {
+    nodes = 30;
+    transfers = shared_hop_transfers(static_cast<int>(state.range(0)));
   }
   auto schedule = build_schedule(transfers, nodes);
   for (auto _ : state) {
@@ -65,7 +98,8 @@ void BM_ValidateSchedule(benchmark::State& state) {
     benchmark::DoNotOptimize(err.size());
   }
 }
-BENCHMARK(BM_ValidateSchedule)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ValidateSchedule)->Arg(0)->Arg(32)->Unit(
+    benchmark::kMicrosecond);
 
 }  // namespace
 

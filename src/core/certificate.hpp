@@ -24,7 +24,7 @@ struct CertificateResult {
   std::string reason;        ///< first failed check, empty when valid
   double period = 0.0;       ///< T = max port load of one period
   double throughput = 0.0;   ///< messages per time unit
-  int slots = 0;             ///< matchings used by the orchestration
+  int slots = 0;             ///< timed slots of the orchestrated schedule
 };
 
 /// Verify a weighted-tree certificate against \p problem. When

@@ -260,6 +260,13 @@ ColoringResult color_communications(std::span<const Communication> comms,
   return result;
 }
 
+double coloring_dust_floor(double makespan, std::size_t communications,
+                           int node_count) {
+  return kRelEps * makespan *
+         static_cast<double>(communications +
+                             2 * static_cast<size_t>(node_count) + 8);
+}
+
 bool validate_coloring(const ColoringResult& result,
                        std::span<const Communication> comms, int node_count,
                        double tol) {
@@ -295,13 +302,9 @@ bool validate_coloring(const ColoringResult& result,
   // Each communication's assigned time is checked on its *own* scale — a
   // makespan-scaled tolerance would let a whole small communication vanish
   // from a large schedule unnoticed. The additive floor covers the
-  // decomposition's legitimate dust handling: weights within kRelEps * M
-  // of zero are snapped/skipped, at most once per peeling round, and the
-  // round count is bounded by |E| + 2|V| + 8.
-  const double dust_floor = kRelEps * result.makespan *
-                            static_cast<double>(comms.size() +
-                                                2 * static_cast<size_t>(
-                                                        node_count) + 8);
+  // decomposition's legitimate dust handling.
+  const double dust_floor =
+      coloring_dust_floor(result.makespan, comms.size(), node_count);
   for (size_t i = 0; i < comms.size(); ++i) {
     double comm_tol =
         tol * std::max(1.0, comms[i].duration) + dust_floor;

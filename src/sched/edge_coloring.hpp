@@ -14,7 +14,12 @@
 ///      and peel off the minimum matched weight.
 /// Every step zeroes at least one edge, so at most |E| + 2·|V| matchings are
 /// produced and the total peeled duration is exactly M.
+///
+/// The input may be a multigraph, but build_schedule hands it a simple
+/// graph: one communication per (sender, receiver) pair, whose duration is
+/// the sum of the pair's transfers.
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -58,6 +63,14 @@ double max_port_load(std::span<const Communication> comms, int node_count);
 /// out in increasing start order.
 ColoringResult color_communications(std::span<const Communication> comms,
                                     int node_count);
+
+/// The decomposition's legitimate dust on one communication's assigned
+/// time: weights within a relative 1e-12 of \p makespan are snapped or
+/// skipped, at most once per peeling round, over at most
+/// \p communications + 2 * \p node_count + 8 rounds. Validators add it to
+/// their per-communication tolerance.
+double coloring_dust_floor(double makespan, std::size_t communications,
+                           int node_count);
 
 /// Check the one-port validity of a coloring against its communications
 /// (used by tests and by the simulator's static verification pass).

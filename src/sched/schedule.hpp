@@ -27,9 +27,9 @@ struct Transfer {
   int offset = 0;         ///< generation offset (depth - 1 along the stream)
 };
 
-/// A timed occurrence of (part of) a transfer within the period. The
-/// colouring may preempt a transfer across several slots — messages are
-/// divisible in this model.
+/// A timed occurrence of (part of) a transfer within the period. A transfer
+/// may be split across several slots — messages are divisible in this
+/// model.
 struct TimedSlot {
   double start = 0.0;
   double length = 0.0;
@@ -44,14 +44,24 @@ struct Schedule {
 };
 
 /// Orchestrate \p transfers into a period via weighted edge colouring.
-/// The resulting period equals the max port load (the paper's bound T).
+/// Only ports constrain the schedule, so the colouring sees one
+/// communication per (from, to) pair, whose duration is the sum of the
+/// pair's transfers; the pair's transfers are then laid back to back through
+/// its colour slots in transfer-index order, a transfer split across
+/// consecutive slots where it does not fit. A column-generation certificate
+/// whose trees reuse the same hops thus costs its port graph, not its
+/// transfer count. The period is the colouring's makespan: the max port
+/// load (the paper's bound T), as if every transfer were coloured alone.
 /// Slots come out in nondecreasing start order.
 Schedule build_schedule(std::vector<Transfer> transfers, int node_count);
 
 /// Static verification: slots lie in [0, period], no two simultaneous slots
 /// share a sender or receiver port, and every transfer's slot time sums to
 /// its duration. Accepts slots in any order. Returns an empty string on
-/// success, else a diagnostic.
+/// success, else a diagnostic. \p tol is relative: slot positions and
+/// overlaps use tol * period, and each transfer's summed time uses
+/// tol * its duration plus coloring_dust_floor(period, transfers, nodes),
+/// so a schedule is checked on its own scale.
 std::string validate_schedule(const Schedule& schedule, int node_count,
                               double tol = 1e-6);
 

@@ -83,7 +83,9 @@ TEST(ServerTest, SolveRoundTripMatchesLocalServiceAndHitsCache) {
 
   // The remote answer is the same certified period the embedded engine
   // produces locally — the wire adds transport, not semantics.
-  Service local(ServiceOptions{.threads = 1});
+  ServiceOptions local_options;
+  local_options.threads = 1;
+  Service local(local_options);
   Result<SolveResponse> local_response = local.solve(request);
   ASSERT_TRUE(local_response.ok());
   EXPECT_DOUBLE_EQ(first->period, local_response->period);
