@@ -259,17 +259,30 @@ struct PruningArm {
   std::vector<StrategyId> winners;
 };
 
+std::vector<SolveRequest> make_requests(
+    const std::vector<core::MulticastProblem>& batch) {
+  std::vector<SolveRequest> requests;
+  requests.reserve(batch.size());
+  for (const auto& problem : batch) {
+    SolveRequest request;
+    request.problem = problem;
+    requests.push_back(std::move(request));
+  }
+  return requests;
+}
+
 PruningArm run_pruning_arm(const std::vector<core::MulticastProblem>& corpus,
                            PruningPolicy policy, int threads) {
-  runtime::EngineOptions options;
+  ServiceOptions options;
   options.threads = threads;
   options.cache_capacity = 0;  // measure solving, not caching
-  options.portfolio.pruning = policy;
+  options.pruning = policy;
   runtime::PortfolioEngine engine(options);
 
   PruningArm arm;
   BenchClock::time_point t0 = BenchClock::now();
-  std::vector<runtime::PortfolioResult> results = engine.solve_batch(corpus);
+  std::vector<runtime::PortfolioResult> results =
+      engine.solve_batch(make_requests(corpus));
   arm.wall_ms = ms_since(t0);
   for (const runtime::PortfolioResult& r : results) {
     arm.periods.push_back(r.ok ? r.period : kInfinity);
@@ -278,7 +291,7 @@ PruningArm run_pruning_arm(const std::vector<core::MulticastProblem>& corpus,
     arm.strategies_pruned += r.pruning.strategies_pruned;
     arm.early_win_cancels += r.pruning.early_win_cancels;
     arm.probes_skipped += r.pruning.probes_skipped;
-    for (const runtime::CandidateOutcome& c : r.candidates) {
+    for (const StrategyOutcome& c : r.outcomes) {
       arm.iterations += c.lp.iterations;
     }
   }
@@ -359,13 +372,13 @@ TraceOverheadReport run_trace_overhead(
   auto best_of = [&](TraceDetail detail) {
     double best = kInfinity;
     for (int rep = 0; rep < 3; ++rep) {
-      runtime::EngineOptions options;
+      ServiceOptions options;
       options.threads = threads;
       options.cache_capacity = 0;
-      options.portfolio.trace = detail;
+      options.trace = detail;
       runtime::PortfolioEngine engine(options);
       BenchClock::time_point t0 = BenchClock::now();
-      engine.solve_batch(corpus);
+      engine.solve_batch(make_requests(corpus));
       best = std::min(best, ms_since(t0));
     }
     return best;
@@ -377,15 +390,15 @@ TraceOverheadReport run_trace_overhead(
 
 /// -------- cache contention micro-bench (sharded vs single mutex) ------
 double hammer_cache(runtime::ResultCache& cache, int threads, int ops) {
-  // Realistic payload: a full portfolio result (candidate slots, detail
+  // Realistic payload: a full portfolio result (outcome slots, detail
   // strings) is copied under the shard lock on every hit, which is what
   // makes a single global mutex a convoy under concurrent serving.
   runtime::PortfolioResult result;
   result.ok = true;
   result.period = 1.0;
-  result.candidates.resize(8);
-  for (auto& c : result.candidates) {
-    c.state = runtime::CandidateState::Certified;
+  result.outcomes.resize(8);
+  for (auto& c : result.outcomes) {
+    c.state = OutcomeState::Certified;
     c.period = 1.0;
     c.detail = "certified via scatter on the reduced platform; "
                "Broadcast-EB bound is advisory";
@@ -412,18 +425,6 @@ double hammer_cache(runtime::ResultCache& cache, int threads, int ops) {
   }
   for (auto& w : workers) w.join();
   return ms_since(t0);
-}
-
-std::vector<SolveRequest> make_requests(
-    const std::vector<core::MulticastProblem>& batch) {
-  std::vector<SolveRequest> requests;
-  requests.reserve(batch.size());
-  for (const auto& problem : batch) {
-    SolveRequest request;
-    request.problem = problem;
-    requests.push_back(std::move(request));
-  }
-  return requests;
 }
 
 /// -------- lp_scale phase: sparse LP + column-generation scaling -------
@@ -683,9 +684,9 @@ int main(int argc, char** argv) {
     std::vector<StrategyId> strategies = all_strategy_ids();
     for (int r = 0; r < kRequests; ++r) {
       for (StrategyId s : strategies) {
-        runtime::CandidateOutcome outcome = runtime::run_strategy(
+        StrategyOutcome outcome = runtime::run_strategy(
             batch[static_cast<size_t>(r)], s, options, unlimited);
-        if (outcome.state == runtime::CandidateState::Certified) {
+        if (outcome.state == OutcomeState::Certified) {
           baseline_best[static_cast<size_t>(r)] =
               std::min(baseline_best[static_cast<size_t>(r)], outcome.period);
         }

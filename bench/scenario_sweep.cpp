@@ -86,14 +86,22 @@ int main() {
     instances.push_back(std::move(instance));
   }
 
-  runtime::EngineOptions engine_options;
+  ServiceOptions engine_options;
   engine_options.threads = kThreads;
   runtime::PortfolioEngine engine(engine_options);
+  std::vector<SolveRequest> requests;
+  requests.reserve(batch.size());
+  for (core::MulticastProblem& problem : batch) {
+    SolveRequest request;
+    request.problem = std::move(problem);
+    requests.push_back(std::move(request));
+  }
 
   double t0 = std::chrono::duration<double, std::milli>(
                   runtime::Clock::now().time_since_epoch())
                   .count();
-  std::vector<runtime::PortfolioResult> results = engine.solve_batch(batch);
+  std::vector<runtime::PortfolioResult> results =
+      engine.solve_batch(std::move(requests));
   double batch_ms = std::chrono::duration<double, std::milli>(
                         runtime::Clock::now().time_since_epoch())
                         .count() -
@@ -112,7 +120,7 @@ int main() {
     // Per-instance solver cost = sum over strategies (the engine-reported
     // elapsed_ms of a batched request is the whole batch's wall time).
     double solver_ms = 0.0;
-    for (const auto& c : results[i].candidates) solver_ms += c.elapsed_ms;
+    for (const auto& c : results[i].outcomes) solver_ms += c.elapsed_ms;
     stats.engine_ms.push_back(solver_ms);
     if (report.lower_bound > 0.0 && report.gap < kInfinity) {
       stats.gaps.push_back(report.gap);

@@ -1,11 +1,10 @@
 #pragma once
 /// \file pmcast/request.hpp
-/// SolveRequest — the one per-request envelope of the v1 API. Everything
-/// that used to be scattered across runtime::RequestOptions (deadline,
-/// cancellation) and runtime::SolveBudget (deadline again, exact-solver
-/// limits) plus the previously engine-global strategy set is folded into
-/// this single type; budgets, priorities and strategy routing are request
-/// attributes, not engine knobs.
+/// SolveRequest — the one per-request envelope, from the Service down to
+/// the runtime's engine: deadline, exact-solver limits, priority, strategy
+/// allowlist, cancellation and pruning are request attributes, not engine
+/// knobs. Its inherit sentinels are resolved against ServiceOptions in one
+/// place (runtime::resolve_race); nothing else reads them.
 
 #include <optional>
 #include <vector>
@@ -38,13 +37,15 @@ struct SolveRequest {
   /// Explicit "no deadline": a request carrying this sentinel runs
   /// unlimited even when ServiceOptions::default_deadline_ms is set (0
   /// would inherit that default instead).
-  static constexpr double kNoDeadline = runtime::SolveBudget::kNoDeadline;
+  static constexpr double kNoDeadline = -1.0;
 
   Problem problem;
 
   /// Wall-clock deadline in ms, anchored when the request enters the
   /// service; 0 inherits ServiceOptions::default_deadline_ms, kNoDeadline
-  /// (negative) opts out of any deadline. Enforced cooperatively at
+  /// (negative) opts out of any deadline, NaN is rejected as
+  /// kInvalidArgument. A deadline too far out for the clock to represent
+  /// never expires. Enforced cooperatively at
   /// checkpoint granularity: a started strategy stops between LP probes
   /// or every few dozen simplex iterations inside a solve, so expiry
   /// surfaces within one checkpoint interval.

@@ -39,6 +39,20 @@ inline const char* outcome_state_name(OutcomeState state) {
   return "?";
 }
 
+/// Why a strategy did not certify: structured so callers classify outcomes
+/// (deadline vs cancellation vs pruning) without matching detail strings.
+/// NotSkipped for Certified and Failed outcomes; Dominated or EarlyWin for
+/// every Pruned one. In-process only: the wire does not carry it.
+enum class SkipReason {
+  NotSkipped = 0,
+  Inapplicable,      ///< strategy doesn't apply (instance above exact size)
+  EnumerationLimit,  ///< exact solver hit its tree-enumeration cap
+  DeadlineExpired,   ///< wall-clock deadline hit, possibly mid-LP-solve
+  Cancelled,         ///< cancellation token fired
+  Dominated,         ///< provably cannot beat the incumbent (pruned)
+  EarlyWin,          ///< incumbent already meets the proven lower bound
+};
+
 /// Counters for a strategy's LP solve sequence. The LP refinement
 /// strategies (augmented_sources, reduced_broadcast, augmented_multicast)
 /// re-solve one mutated program per probe, warm-starting from the previous
@@ -73,6 +87,7 @@ struct PruneCounters {
 struct StrategyOutcome {
   StrategyId strategy = StrategyId::Mcph;
   OutcomeState state = OutcomeState::Skipped;
+  SkipReason skip_reason = SkipReason::NotSkipped;
   /// Certified period (infinity unless state == Certified).
   double period = std::numeric_limits<double>::infinity();
   /// The strategy's own claimed/advisory value (e.g. Broadcast-EB bound).

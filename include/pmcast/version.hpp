@@ -12,9 +12,9 @@
 
 // clang-format off
 #define PMCAST_API_VERSION_MAJOR 2
-#define PMCAST_API_VERSION_MINOR 0
+#define PMCAST_API_VERSION_MINOR 1
 #define PMCAST_API_VERSION_PATCH 0
-#define PMCAST_API_VERSION "2.0.0"
+#define PMCAST_API_VERSION "2.1.0"
 // clang-format on
 
 namespace pmcast {

@@ -10,6 +10,7 @@
 #include "pmcast/service.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <mutex>
 #include <optional>
@@ -56,18 +57,6 @@ SolveTrace to_public(const runtime::TraceSummary& trace) {
     out.timeline.push_back(event);
   }
   return out;
-}
-
-OutcomeState to_public(runtime::CandidateState state,
-                       runtime::SkipReason reason) {
-  switch (state) {
-    case runtime::CandidateState::Certified: return OutcomeState::Certified;
-    case runtime::CandidateState::Failed: return OutcomeState::Failed;
-    case runtime::CandidateState::Skipped:
-      return runtime::is_pruned(reason) ? OutcomeState::Pruned
-                                        : OutcomeState::Skipped;
-  }
-  return OutcomeState::Skipped;
 }
 
 using FacadeClock = std::chrono::steady_clock;
@@ -154,13 +143,12 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
   if (!run.ok) {
     bool budget_starved = false;
     std::string first_failure;
-    for (const runtime::CandidateOutcome& c : run.candidates) {
-      if (c.skip_reason == runtime::SkipReason::DeadlineExpired ||
-          c.skip_reason == runtime::SkipReason::Cancelled) {
+    for (const StrategyOutcome& c : run.outcomes) {
+      if (c.skip_reason == SkipReason::DeadlineExpired ||
+          c.skip_reason == SkipReason::Cancelled) {
         budget_starved = true;
       }
-      if (first_failure.empty() &&
-          c.state == runtime::CandidateState::Failed) {
+      if (first_failure.empty() && c.state == OutcomeState::Failed) {
         first_failure =
             std::string(strategy_id_name(c.strategy)) + ": " + c.detail;
       }
@@ -191,27 +179,14 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
   SolveResponse response;
   response.period = run.period;
   response.winner = run.winner;
-  response.outcomes.reserve(run.candidates.size());
-  for (const runtime::CandidateOutcome& c : run.candidates) {
-    StrategyOutcome out;
-    out.strategy = c.strategy;
-    out.state = to_public(c.state, c.skip_reason);
-    out.period = c.period;
-    out.bound_period = c.bound_period;
-    out.elapsed_ms = c.elapsed_ms;
-    out.lp.solves = c.lp.solves;
-    out.lp.warm_starts = c.lp.warm_starts;
-    out.lp.eta_reuses = c.lp.eta_reuses;
-    out.lp.cold_fallbacks = c.lp.cold_fallbacks;
-    out.lp.iterations = c.lp.iterations;
-    out.lp.columns_priced = c.lp.columns_priced;
-    out.lp.master_iterations = c.lp.master_iterations;
-    out.lp.pricing_ms = c.lp.pricing_ms;
-    out.prune = c.prune;
-    out.detail = c.detail;
+  response.outcomes = run.outcomes;
+  for (const StrategyOutcome& out : response.outcomes) {
     switch (out.state) {
       case OutcomeState::Certified:
         ++response.certificate.certified;
+        if (out.strategy == run.winner) {
+          response.certificate.winner_detail = out.detail;
+        }
         break;
       case OutcomeState::Failed:
         ++response.certificate.failed;
@@ -222,11 +197,6 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
       case OutcomeState::Pruned:
         ++response.certificate.pruned;
         break;
-    }
-    response.outcomes.push_back(std::move(out));
-    if (c.strategy == run.winner &&
-        c.state == runtime::CandidateState::Certified) {
-      response.certificate.winner_detail = c.detail;
     }
   }
   response.pruning = run.pruning;
@@ -346,26 +316,9 @@ SolveFuture SolveBatch::future(std::size_t index) const {
 // ---------------------------------------------------------------- Service --
 
 struct Service::Impl {
-  ServiceOptions options;
+  explicit Impl(ServiceOptions options) : engine(std::move(options)) {}
+
   runtime::PortfolioEngine engine;
-
-  static runtime::EngineOptions engine_options(const ServiceOptions& o) {
-    runtime::EngineOptions eo;
-    eo.threads = o.threads;
-    eo.cache_capacity = o.cache_capacity;
-    eo.portfolio.budget.deadline_ms = o.default_deadline_ms;
-    eo.portfolio.budget.exact_max_nodes = o.exact_max_nodes;
-    eo.portfolio.budget.exact_max_trees = o.exact_max_trees;
-    eo.portfolio.budget.colgen_max_nodes = o.colgen_max_nodes;
-    eo.portfolio.simulate_periods = o.simulate_periods;
-    eo.portfolio.strategies = o.strategies;
-    eo.portfolio.pruning = o.pruning;
-    eo.portfolio.trace = o.trace;
-    return eo;
-  }
-
-  explicit Impl(ServiceOptions o)
-      : options(std::move(o)), engine(engine_options(options)) {}
 };
 
 Service::Service(ServiceOptions options)
@@ -386,25 +339,21 @@ SolveBatch Service::submit_batch(std::vector<SolveRequest> requests,
   state->start = FacadeClock::now();
   state->meta.resize(n);
 
-  std::vector<core::MulticastProblem> problems;
-  std::vector<runtime::RequestOptions> engine_requests;
+  std::vector<SolveRequest> accepted;
   std::vector<std::pair<std::size_t, Status>> rejected;
-  problems.reserve(n);
-  engine_requests.reserve(n);
+  accepted.reserve(n);
 
   for (std::size_t i = 0; i < n; ++i) {
     SolveRequest& req = requests[i];
     RequestMeta& meta = state->meta[i];
-    // Positive = the request's own deadline; 0 inherits the service
-    // default; negative (SolveRequest::kNoDeadline) = explicitly none.
-    meta.effective_deadline_ms = req.deadline_ms > 0.0
-                                     ? req.deadline_ms
-                                 : req.deadline_ms < 0.0
-                                     ? 0.0
-                                     : impl_->options.default_deadline_ms;
+    meta.effective_deadline_ms =
+        runtime::resolve_race(impl_->engine.options(), req).budget.deadline_ms;
     meta.cancel = req.cancel;
 
     Status valid = validate_problem(req.problem);
+    if (valid.ok() && std::isnan(req.deadline_ms)) {
+      valid = Status(StatusCode::kInvalidArgument, "deadline_ms is NaN");
+    }
     if (valid.ok() && !req.problem.feasible()) {
       valid = Status(StatusCode::kFailedPrecondition,
                      "infeasible instance: at least one target is "
@@ -414,20 +363,8 @@ SolveBatch Service::submit_batch(std::vector<SolveRequest> requests,
       rejected.emplace_back(i, std::move(valid));
       continue;
     }
-
-    runtime::RequestOptions ro;
-    ro.budget.deadline_ms = req.deadline_ms;
-    ro.budget.exact_max_nodes = req.limits.exact_max_nodes;
-    ro.budget.exact_max_trees = req.limits.exact_max_trees;
-    ro.budget.colgen_max_nodes = req.limits.colgen_max_nodes;
-    ro.strategies = req.strategies;
-    ro.priority = req.priority;
-    ro.cancel = req.cancel;
-    ro.pruning = req.pruning;
-    ro.known_lower_bound = req.known_lower_bound;
-    engine_requests.push_back(std::move(ro));
     state->engine_to_facade.push_back(i);
-    problems.push_back(std::move(req.problem));
+    accepted.push_back(std::move(req));
   }
 
   // Rejections resolve first, on the submitting thread, in index order —
@@ -439,7 +376,7 @@ SolveBatch Service::submit_batch(std::vector<SolveRequest> requests,
   // The engine calls back concurrently from its workers; to_response runs
   // outside every lock, and deliver() serialises the user callback.
   impl_->engine.submit_batch(
-      problems, engine_requests, state->batch_cancel,
+      std::move(accepted), state->batch_cancel,
       [state](std::size_t engine_index,
               const runtime::PortfolioResult& result) {
         std::size_t index = state->engine_to_facade[engine_index];

@@ -15,6 +15,10 @@ std::uint64_t mix(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
+/// The seeds of InstanceKey's two lanes.
+constexpr std::uint64_t kLoSeed = 0x9e3779b97f4a7c15ULL;
+constexpr std::uint64_t kHiSeed = 0xd1b54a32d192ed03ULL;
+
 struct Hasher {
   std::uint64_t state;
 
@@ -72,9 +76,17 @@ std::uint64_t hash_instance(const Digraph& graph, NodeId source,
 InstanceKey instance_key(const Digraph& graph, NodeId source,
                          std::span<const NodeId> targets) {
   return InstanceKey{
-      hash_instance(graph, source, targets, 0x9e3779b97f4a7c15ULL),
-      hash_instance(graph, source, targets, 0xd1b54a32d192ed03ULL),
+      hash_instance(graph, source, targets, kLoSeed),
+      hash_instance(graph, source, targets, kHiSeed),
   };
+}
+
+InstanceKey extend_key(const InstanceKey& key, std::uint64_t word) {
+  Hasher lo{key.lo};
+  Hasher hi{key.hi};
+  lo.absorb(mix(word ^ kLoSeed));
+  hi.absorb(mix(word ^ kHiSeed));
+  return InstanceKey{lo.state, hi.state};
 }
 
 }  // namespace pmcast

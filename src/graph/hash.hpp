@@ -40,6 +40,11 @@ std::uint64_t hash_instance(const Digraph& graph, NodeId source,
 InstanceKey instance_key(const Digraph& graph, NodeId source,
                          std::span<const NodeId> targets);
 
+/// \p key with \p word folded into both lanes, each under its own seed:
+/// how a caller extends an instance's identity with the settings it was
+/// solved under (the runtime's result cache keys on both).
+InstanceKey extend_key(const InstanceKey& key, std::uint64_t word);
+
 }  // namespace pmcast
 
 template <>

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -36,12 +37,17 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+/// Bound the next recv() by \p timeout_ms; not positive, or too large for
+/// timeval's seconds (up to +inf), means no timeout.
 void set_recv_timeout(int fd, double timeout_ms) {
   timeval tv{};
-  if (timeout_ms > 0.0) {
-    tv.tv_sec = static_cast<time_t>(timeout_ms / 1000.0);
+  if (timeout_ms > 0.0 &&
+      timeout_ms / 1000.0 <
+          static_cast<double>(std::numeric_limits<time_t>::max())) {
+    const double seconds = std::floor(timeout_ms / 1000.0);
+    tv.tv_sec = static_cast<time_t>(seconds);
     tv.tv_usec = static_cast<suseconds_t>(
-        (timeout_ms - static_cast<double>(tv.tv_sec) * 1000.0) * 1000.0);
+        std::clamp((timeout_ms - seconds * 1000.0) * 1000.0, 0.0, 999999.0));
     if (tv.tv_sec == 0 && tv.tv_usec == 0) tv.tv_usec = 1000;
   }
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));

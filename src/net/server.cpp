@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "net/protocol.hpp"
+#include "runtime/portfolio.hpp"
 
 namespace pmcast::net {
 namespace {
@@ -459,17 +460,14 @@ struct Server::Impl {
       // Other actions at dispatch reduce to the delay poll_fault applied.
     }
 
-    // Admission: the deadline the shed policy sees is the same one the
-    // Service will enforce (wire value, or the server default; negative =
-    // none). No-deadline requests skip the deadline shed but not the caps.
-    double admission_deadline = -1.0;
-    if (!decoded->no_deadline) {
-      if (decoded->deadline_ms > 0.0) {
-        admission_deadline = decoded->deadline_ms;
-      } else if (options.service.default_deadline_ms > 0.0) {
-        admission_deadline = options.service.default_deadline_ms;
-      }
-    }
+    // Admission: the deadline the shed policy sees is the one the Service
+    // will enforce, resolved the same way (negative = none). No-deadline
+    // requests skip the deadline shed but not the caps.
+    SolveRequest request = decoded->to_solve_request();
+    const double resolved_deadline =
+        runtime::resolve_race(options.service, request).budget.deadline_ms;
+    const double admission_deadline =
+        resolved_deadline > 0.0 ? resolved_deadline : -1.0;
     const AdmissionDecision decision =
         admission.admit(tenant, now_ms(), admission_deadline,
                         service.thread_count(), options.brownout.enabled);
@@ -509,7 +507,6 @@ struct Server::Impl {
         static_cast<std::uint64_t>(admission.global_in_flight()),
         std::memory_order_relaxed);
 
-    SolveRequest request = decoded->to_solve_request();
     request.cancel = CancelToken();
     if (brownout) {
       // Degraded admission: override the strategy allowlist with the cheap

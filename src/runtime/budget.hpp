@@ -34,72 +34,43 @@ class CancellationToken {
 };
 
 /// Budget for one portfolio run: a wall-clock deadline plus limits on the
-/// expensive exact solver. The default-constructed budget is the *engine*
-/// default (unlimited wall clock, bounded exact solver); inherit() is the
-/// *request* default, where every field defers to the engine's budget —
-/// resolve() merges the two. This is the single carrier of deadline and
-/// exact limits; per-request knobs ride in on RequestOptions::budget
-/// rather than duplicating fields (see engine.hpp).
+/// expensive exact solver. A SolveBudget is always *resolved*: it carries
+/// no inherit sentinels (resolve_race, runtime/portfolio.hpp, merges a
+/// SolveRequest over ServiceOptions into one). The default-constructed
+/// budget holds the ServiceOptions defaults.
 struct SolveBudget {
-  /// Explicit "no deadline" sentinel for deadline_ms. Distinct from 0.0,
-  /// which on a request budget means "inherit the engine default": a
-  /// request carrying kNoDeadline opts out of any engine-default deadline
-  /// through resolve(), which 0.0 could never express (any negative value
-  /// behaves the same; kNoDeadline is the canonical spelling).
-  static constexpr double kNoDeadline = -1.0;
-
-  /// Wall-clock budget in milliseconds. 0 = unlimited on an engine budget
-  /// and "inherit the engine default" on a request budget; kNoDeadline
-  /// (negative) = explicitly unlimited, overriding any engine default. The
-  /// deadline is anchored when the request enters the engine (see
+  /// Wall-clock budget in milliseconds; anything but a positive value means
+  /// no deadline. Anchored when the request enters the engine (see
   /// deadline_from()).
   double deadline_ms = 0.0;
 
   /// Instances larger than this skip the exact enumeration strategy.
-  /// Negative on a request budget = inherit.
   int exact_max_nodes = 9;
-  /// Tree-enumeration abort limit for the exact strategy. 0 on a request
-  /// budget = inherit.
+  /// Tree-enumeration abort limit for the exact strategy.
   std::size_t exact_max_trees = 200'000;
 
   /// Instances above exact_max_nodes but at most this many nodes route the
   /// exact strategy to the column-generation solver (restricted master +
   /// pricing oracle) instead of skipping. 0 disables column generation —
-  /// the engine default, keeping small-instance results bit-identical to
-  /// the enumeration-only portfolio; negative on a request budget =
-  /// inherit.
+  /// the default, keeping small-instance results bit-identical to the
+  /// enumeration-only portfolio.
   int colgen_max_nodes = 0;
 
-  /// Request-level budget with every field deferring to the engine's.
-  static SolveBudget inherit() {
-    SolveBudget budget;
-    budget.deadline_ms = 0.0;
-    budget.exact_max_nodes = -1;
-    budget.exact_max_trees = 0;
-    budget.colgen_max_nodes = -1;
-    return budget;
-  }
-
-  /// Merge this (request-level, sentinel-aware) budget over \p base:
-  /// 0.0 inherits the base deadline, a positive value overrides it, and
-  /// kNoDeadline (negative) clears it — the explicit unlimited opt-out.
-  SolveBudget resolve(const SolveBudget& base) const {
-    SolveBudget merged = base;
-    if (deadline_ms > 0.0 || deadline_ms < 0.0) {
-      merged.deadline_ms = deadline_ms;
-    }
-    if (exact_max_nodes >= 0) merged.exact_max_nodes = exact_max_nodes;
-    if (exact_max_trees > 0) merged.exact_max_trees = exact_max_trees;
-    if (colgen_max_nodes >= 0) merged.colgen_max_nodes = colgen_max_nodes;
-    return merged;
-  }
-
+  /// The deadline as a time point, anchored on \p start. A deadline the
+  /// clock cannot represent from \p start (past its range, or +inf)
+  /// saturates to never expiring rather than overflowing the cast.
   Clock::time_point deadline_from(Clock::time_point start) const {
-    // Both the 0.0 "unlimited/inherit-nothing" case and the explicit
-    // kNoDeadline sentinel mean "never expires" here.
-    if (deadline_ms <= 0.0) return Clock::time_point::max();
-    return start + std::chrono::duration_cast<Clock::duration>(
-                       std::chrono::duration<double, std::milli>(deadline_ms));
+    if (!(deadline_ms > 0.0)) return Clock::time_point::max();
+    // The tick count duration_cast would produce, compared while still a
+    // double: only a value below the headroom is cast.
+    const double ticks = std::chrono::duration<double, Clock::period>(
+                             std::chrono::duration<double, std::milli>(
+                                 deadline_ms))
+                             .count();
+    const double headroom =
+        static_cast<double>((Clock::time_point::max() - start).count());
+    if (!(ticks < headroom)) return Clock::time_point::max();
+    return start + Clock::duration(static_cast<Clock::rep>(ticks));
   }
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <latch>
 #include <mutex>
 #include <unordered_map>
@@ -77,13 +79,37 @@ long long run_lb_probe(const core::MulticastProblem& problem,
   return lb.iterations;
 }
 
-/// Pick winner/ok/period out of completed candidate slots and aggregate
-/// the per-candidate pruning counters.
-PortfolioResult assemble_result(std::vector<CandidateOutcome> candidates) {
+/// The cache and coalescing identity of a race: \p problem's canonical
+/// instance key extended with every resolved setting that can change the
+/// result — the ordered strategy list, the exact and column-generation
+/// limits, the pruning policy and the known lower bound. The deadline is
+/// left out: a race it cut is never cached, and coalescing widens a
+/// group's deadline to its most permissive member's. simulate_periods and
+/// trace are engine-wide, so one cache never sees two values of them.
+InstanceKey race_key(const core::MulticastProblem& problem,
+                     const PortfolioOptions& race) {
+  InstanceKey key = instance_key(problem.graph, problem.source,
+                                 problem.targets);
+  auto fold = [&key](auto word) {
+    key = extend_key(key, static_cast<std::uint64_t>(word));
+  };
+  fold(race.strategies.size());
+  for (StrategyId s : race.strategies) fold(s);
+  fold(race.budget.exact_max_nodes);
+  fold(race.budget.exact_max_trees);
+  fold(race.budget.colgen_max_nodes);
+  fold(race.pruning);
+  fold(std::bit_cast<std::uint64_t>(race.known_lower_bound));
+  return key;
+}
+
+/// Pick winner/ok/period out of completed outcome slots and aggregate the
+/// per-outcome pruning counters.
+PortfolioResult assemble_result(std::vector<StrategyOutcome> outcomes) {
   PortfolioResult result;
-  result.candidates = std::move(candidates);
-  for (const CandidateOutcome& c : result.candidates) {
-    if (c.state == CandidateState::Certified) {
+  result.outcomes = std::move(outcomes);
+  for (const StrategyOutcome& c : result.outcomes) {
+    if (c.state == OutcomeState::Certified) {
       // A later candidate must improve by more than the tie tolerance to
       // displace the incumbent winner: exact ties AND sub-tolerance dust
       // stay on the earlier (cheaper) strategy, which makes the winner
@@ -94,12 +120,10 @@ PortfolioResult assemble_result(std::vector<CandidateOutcome> candidates) {
         result.winner = c.strategy;
         result.ok = true;
       }
-    } else if (c.state == CandidateState::Skipped) {
-      if (c.skip_reason == SkipReason::Dominated) {
-        ++result.pruning.strategies_pruned;
-      } else if (c.skip_reason == SkipReason::EarlyWin) {
-        ++result.pruning.early_win_cancels;
-      }
+    } else if (c.skip_reason == SkipReason::Dominated) {
+      ++result.pruning.strategies_pruned;
+    } else if (c.skip_reason == SkipReason::EarlyWin) {
+      ++result.pruning.early_win_cancels;
     }
     result.pruning.probes_skipped += c.prune.probes_skipped;
   }
@@ -119,13 +143,12 @@ namespace detail {
 /// the last stage is done.
 struct EngineGroup {
   std::size_t leader = 0;
-  core::MulticastProblem problem;  // copy: tasks outlive the caller's span
+  core::MulticastProblem problem;  // moved out of the leader's request
   InstanceKey key;
   std::vector<std::size_t> followers;
-  PortfolioOptions options;
+  PortfolioOptions options;        // the leader's resolved race
   BudgetGuard guard;
-  std::vector<StrategyId> strategies;
-  std::vector<CandidateOutcome> outcomes;
+  std::vector<StrategyOutcome> outcomes;
   int priority = 0;
 
   // --- cooperative pruning state (see runtime/incumbent.hpp) ---
@@ -175,17 +198,22 @@ struct EngineBatchState {
       }
     }
     result.elapsed_ms = ms_since(start);
-    if (cache != nullptr) cache->put(group.key, result);
+    // A race its deadline or a token may have cut (an outcome stopped
+    // early, or column generation's anytime combination) is not the race
+    // a later request would run: never cache it.
+    if (cache != nullptr && !group.guard.expired()) {
+      cache->put(group.key, result);
+    }
     deliver(group, result);
   }
 
   /// An unreachable target fails every strategy before it starts: deliver
   /// at once, uncached.
   void finish_infeasible(EngineGroup& group) {
-    for (std::size_t s = 0; s < group.strategies.size(); ++s) {
-      CandidateOutcome& out = group.outcomes[s];
-      out.strategy = group.strategies[s];
-      out.state = CandidateState::Failed;
+    for (std::size_t s = 0; s < group.outcomes.size(); ++s) {
+      StrategyOutcome& out = group.outcomes[s];
+      out.strategy = group.options.strategies[s];
+      out.state = OutcomeState::Failed;
       out.detail = "infeasible instance: unreachable target";
     }
     PortfolioResult result = assemble_result(std::move(group.outcomes));
@@ -199,90 +227,72 @@ struct EngineBatchState {
 using detail::EngineBatchState;
 using detail::EngineGroup;
 
-PortfolioEngine::PortfolioEngine(EngineOptions options)
+PortfolioEngine::PortfolioEngine(ServiceOptions options)
     : options_(std::move(options)),
       cache_(options_.cache_capacity),
       pool_(options_.threads) {}
 
-void PortfolioEngine::submit_batch(
-    std::span<const core::MulticastProblem> problems,
-    std::span<const RequestOptions> requests, CancellationToken cancel,
-    BatchCallback on_result) {
+void PortfolioEngine::submit_batch(std::vector<SolveRequest> requests,
+                                   CancellationToken cancel,
+                                   BatchCallback on_result) {
   auto state = std::make_shared<EngineBatchState>();
-  const std::size_t n = problems.size();
   state->on_result = std::move(on_result);
   state->start = Clock::now();
   state->cache = &cache_;
   state->engine_trace = &trace_;
   state->engine_trace_mutex = &trace_mutex_;
 
-  // Requests beyond the span's end get defaults, so a shorter (or empty)
-  // span is safe rather than an out-of-bounds read.
-  const RequestOptions default_request;
-  auto request_of = [&](std::size_t i) -> const RequestOptions& {
-    return i < requests.size() ? requests[i] : default_request;
-  };
-
   // Steps 1+2: cache probe (hits delivered immediately, in batch order),
-  // then coalesce the remaining misses by canonical key. Leaders keep
-  // batch order, which makes coalescing deterministic.
+  // then coalesce the remaining misses by race key. Leaders keep batch
+  // order, which makes coalescing deterministic.
   std::unordered_map<InstanceKey, EngineGroup*> group_of_key;
-  for (std::size_t i = 0; i < n; ++i) {
-    const core::MulticastProblem& p = problems[i];
-    InstanceKey key = instance_key(p.graph, p.source, p.targets);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    SolveRequest& request = requests[i];
+    PortfolioOptions race = resolve_race(options_, request);
+    const InstanceKey key = race_key(request.problem, race);
     if (auto hit = cache_.get(key)) {
       state->on_result(i, *hit);
       continue;
     }
     auto it = group_of_key.find(key);
     if (it != group_of_key.end()) {
-      it->second->followers.push_back(i);
+      EngineGroup& group = *it->second;
+      group.followers.push_back(i);
       // The group inherits its most urgent member's priority and its most
       // permissive member's deadline, not just the leader's: a
       // high-priority duplicate must not queue behind lower-priority
       // groups, and a follower that asked for a later deadline — or
-      // explicitly for none (SolveBudget::kNoDeadline) — must not be
+      // explicitly for none (SolveRequest::kNoDeadline) — must not be
       // starved by a deadline-bound leader.
-      const RequestOptions& follower = request_of(i);
-      it->second->priority =
-          std::max(it->second->priority, follower.priority);
-      SolveBudget fbudget =
-          follower.budget.resolve(options_.portfolio.budget);
-      Clock::time_point fdeadline = fbudget.deadline_from(state->start);
-      if (fdeadline > it->second->guard.deadline) {
-        it->second->guard.deadline = fdeadline;
-        it->second->options.budget.deadline_ms = fbudget.deadline_ms;
+      group.priority = std::max(group.priority, request.priority);
+      const Clock::time_point deadline =
+          race.budget.deadline_from(state->start);
+      if (deadline > group.guard.deadline) {
+        group.guard.deadline = deadline;
+        group.options.budget.deadline_ms = race.budget.deadline_ms;
       }
       continue;
     }
     auto group = std::make_unique<EngineGroup>();
     group->leader = i;
-    group->problem = p;
+    group->problem = std::move(request.problem);
     group->key = key;
-    group->options = options_.portfolio;
-    const RequestOptions& req = request_of(i);
-    group->options.budget = req.budget.resolve(options_.portfolio.budget);
-    if (!req.strategies.empty()) group->options.strategies = req.strategies;
-    if (req.pruning.has_value()) group->options.pruning = *req.pruning;
-    if (req.known_lower_bound > group->options.known_lower_bound) {
-      group->options.known_lower_bound = req.known_lower_bound;
-    }
-    group->guard = BudgetGuard{group->options.budget.deadline_from(state->start),
-                               req.cancel, cancel};
-    group->strategies = group->options.strategies.empty()
-                            ? all_strategy_ids()
-                            : group->options.strategies;
-    group->outcomes.resize(group->strategies.size());
-    group->envs.resize(group->strategies.size());
-    group->priority = req.priority;
+    group->options = std::move(race);
+    group->guard =
+        BudgetGuard{group->options.budget.deadline_from(state->start),
+                    request.cancel, cancel};
+    const std::size_t slots = group->options.strategies.size();
+    group->outcomes.resize(slots);
+    group->envs.resize(slots);
+    group->priority = request.priority;
     if (group->options.trace != TraceDetail::Off) {
-      group->tracer = std::make_unique<Tracer>(group->options.trace,
-                                               group->strategies.size());
+      group->tracer = std::make_unique<Tracer>(group->options.trace, slots);
     }
 
     // Stage plan: Deterministic races stage by stage behind barriers; Off
     // keeps the flat fan-out.
-    group->stages = plan_stages(group->strategies, group->options.pruning);
+    group->stages =
+        plan_stages(group->options.strategies, group->options.pruning);
     if (group->options.pruning != PruningPolicy::Off) {
       group->lb_probe_pending = true;
       if (group->options.known_lower_bound > 0.0) {
@@ -347,7 +357,7 @@ void PortfolioEngine::dispatch_stage(
   for (std::size_t s : stage) {
     pool_.submit([this, state, group, s] {
       group->outcomes[s] = run_strategy(group->problem,
-                                        group->strategies[s],
+                                        group->options.strategies[s],
                                         group->options, group->guard,
                                         &group->envs[s]);
       complete_stage_task(state, group);
@@ -367,7 +377,7 @@ void PortfolioEngine::complete_stage_task(
   // honoured (monotone, hence idempotent).
   if (group->options.pruning == PruningPolicy::Deterministic) {
     for (std::size_t s : group->stages[group->next_stage]) {
-      if (group->outcomes[s].state == CandidateState::Certified) {
+      if (group->outcomes[s].state == OutcomeState::Certified) {
         group->incumbent.publish_certified(group->outcomes[s].period,
                                            static_cast<int>(s));
       }
@@ -386,15 +396,14 @@ TraceSummary PortfolioEngine::trace_summary() const {
   return trace_;
 }
 
-PortfolioResult PortfolioEngine::solve(const core::MulticastProblem& problem,
-                                       const RequestOptions& request) {
-  auto results = solve_batch({&problem, 1}, {&request, 1});
-  return std::move(results.front());
+PortfolioResult PortfolioEngine::solve(SolveRequest request) {
+  std::vector<SolveRequest> batch;
+  batch.push_back(std::move(request));
+  return std::move(solve_batch(std::move(batch)).front());
 }
 
 std::vector<PortfolioResult> PortfolioEngine::solve_batch(
-    std::span<const core::MulticastProblem> problems,
-    std::span<const RequestOptions> requests) {
+    std::vector<SolveRequest> requests) {
   // Shared with the callback, which the batch state (and so the last
   // running task) owns: the collector outlives any count_down() still in
   // flight when wait() returns.
@@ -404,8 +413,8 @@ std::vector<PortfolioResult> PortfolioEngine::solve_batch(
     std::vector<PortfolioResult> results;
     std::latch done;
   };
-  auto collector = std::make_shared<Collector>(problems.size());
-  submit_batch(problems, requests, CancellationToken(),
+  auto collector = std::make_shared<Collector>(requests.size());
+  submit_batch(std::move(requests), CancellationToken(),
                [collector](std::size_t index, const PortfolioResult& result) {
                  collector->results[index] = result;
                  collector->done.count_down();

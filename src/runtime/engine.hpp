@@ -4,23 +4,26 @@
 /// work-stealing pool and the LRU result cache and exposes an async-first
 /// submission surface — submit_batch() streams each request's result
 /// through a callback as it certifies — plus blocking
-/// solve()/solve_batch() conveniences layered on top.
+/// solve()/solve_batch() conveniences layered on top. It is configured by
+/// the Service's own types: ServiceOptions once, a SolveRequest per
+/// request, each resolved into one race by resolve_race().
 ///
 /// A batch is served in four steps:
-///  1. *Cache lookup* — every request's canonical instance key
-///     (graph/hash.hpp) is probed against the LRU cache; hits are
-///     delivered immediately, on the submitting thread.
-///  2. *Coalescing* — misses with identical keys are grouped; one leader
-///     per group is solved, followers receive a copy (coalesced flag set).
-///     A coalesced group runs under its leader's cancellation tokens (the
-///     leader is the first occurrence in the batch) but its *most
-///     permissive* member's deadline — a follower with a later or
+///  1. *Cache lookup* — every request's race key (its canonical instance
+///     key, graph/hash.hpp, extended with every resolved race setting but
+///     the deadline) is probed against the LRU cache; hits are delivered
+///     immediately, on the submitting thread.
+///  2. *Coalescing* — misses with identical race keys are grouped; one
+///     leader per group is solved, followers receive a copy (coalesced
+///     flag set). A coalesced group runs under its leader's cancellation
+///     tokens (the leader is the first occurrence in the batch) but its
+///     *most permissive* member's deadline — a follower with a later or
 ///     explicitly-unlimited deadline widens the group's, mirroring the
 ///     priority escalation.
 ///  3. *Fan-out* — every (leader, strategy) pair becomes one pool task, so
 ///     strategy-level parallelism spans request boundaries and the pool
 ///     stays saturated even when one straggler request is left. Groups are
-///     dispatched in descending RequestOptions::priority order. Under
+///     dispatched in descending SolveRequest::priority order. Under
 ///     PruningPolicy::Deterministic a group's tasks go out stage by stage
 ///     (trees, then bound providers, then LP refinement heuristics): the
 ///     task that completes a stage freezes the group's incumbent snapshot
@@ -28,12 +31,13 @@
 ///     which strategies ran — never on timing — while tasks of *different*
 ///     groups still interleave freely and keep the pool saturated.
 ///  4. *Streaming delivery* — when the last strategy of a group finishes,
-///     the group's result is assembled, cached and handed (leader first,
-///     then followers) to the batch callback; other requests keep running.
-///     No barrier: time-to-first-result is one request's solve time, not
-///     the whole batch's. An infeasible instance (a target unreachable
-///     from the source) is not raced: it is delivered at once with every
-///     candidate Failed, and not cached.
+///     the group's result is assembled, cached unless the group's deadline
+///     passed or its tokens fired before it finished, and handed (leader
+///     first, then followers) to the batch callback; other requests keep
+///     running. No barrier: time-to-first-result is one request's solve
+///     time, not the whole batch's. An infeasible instance (a target
+///     unreachable from the source) is not raced: it is delivered at once
+///     with every outcome Failed, and not cached.
 ///
 /// Budget semantics: deadlines are anchored when the batch enters the
 /// engine and enforced cooperatively at checkpoint granularity — between
@@ -41,59 +45,22 @@
 /// iterations inside an LP solve — so an expired deadline surfaces within
 /// one checkpoint interval. Nothing is ever killed mid-pivot.
 /// Cancellation is cooperative through the same checkpoints, per request
-/// (RequestOptions::cancel) or per batch (the token the caller passes to
+/// (SolveRequest::cancel) or per batch (the token the caller passes to
 /// submit_batch()).
 
 #include <cstddef>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <span>
 #include <vector>
 
-#include "core/problem.hpp"
+#include "pmcast/service.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/cache.hpp"
 #include "runtime/portfolio.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace pmcast::runtime {
-
-struct EngineOptions {
-  /// Worker threads of the pool. 0 = no workers, everything runs inline on
-  /// the calling thread (deterministic debugging mode).
-  int threads = 1;
-  /// Result-cache capacity in entries; 0 disables caching.
-  std::size_t cache_capacity = 1024;
-  /// Portfolio configuration shared by every request (strategy set,
-  /// default budget, certificate replay periods).
-  PortfolioOptions portfolio;
-};
-
-/// Per-request knobs layered on top of EngineOptions::portfolio. This is
-/// the runtime mirror of the facade's pmcast::SolveRequest.
-struct RequestOptions {
-  /// Sentinel-aware budget merged over the engine default: deadline_ms 0,
-  /// exact_max_nodes < 0 and exact_max_trees 0 each inherit. Careful:
-  /// assigning a default-constructed SolveBudget{} here is NOT "inherit"
-  /// — it carries the concrete engine defaults (9 / 200k) and overrides
-  /// an engine configured differently. Use SolveBudget::inherit().
-  SolveBudget budget = SolveBudget::inherit();
-  /// Strategy allowlist; empty inherits the engine portfolio.
-  std::vector<StrategyId> strategies;
-  /// Higher-priority requests are dispatched to the pool first.
-  int priority = 0;
-  /// Cooperative cancellation; request_stop() makes not-yet-started
-  /// strategies of this request skip.
-  CancellationToken cancel;
-  /// Cooperative-pruning override; nullopt inherits the engine portfolio's
-  /// policy. A coalesced group runs under its leader's policy.
-  std::optional<PruningPolicy> pruning;
-  /// Caller-proven lower bound on the achievable period (0 = none); seeds
-  /// the race's incumbent so early-win cuts can fire from the start.
-  double known_lower_bound = 0.0;
-};
 
 namespace detail {
 struct EngineBatchState;  // defined in engine.cpp
@@ -112,29 +79,26 @@ using BatchCallback =
 
 class PortfolioEngine {
  public:
-  explicit PortfolioEngine(EngineOptions options = {});
+  explicit PortfolioEngine(ServiceOptions options = {});
 
   /// Async-first entry point: dispatch the batch and return immediately
   /// (with 0 worker threads everything runs inline first, in launch
-  /// order). Every request's result goes to \p on_result exactly once;
-  /// the engine keeps no copy beyond the cache. \p cancel stops the whole
-  /// batch cooperatively. Problems and requests are copied into the batch
-  /// state; the spans need not outlive the call. \p requests may be
-  /// shorter than \p problems — requests without a matching entry use the
-  /// engine defaults.
-  void submit_batch(std::span<const core::MulticastProblem> problems,
-                    std::span<const RequestOptions> requests,
+  /// order). Every request's result goes to \p on_result exactly once,
+  /// under the request's index; the engine keeps no copy beyond the cache.
+  /// \p cancel stops the whole batch cooperatively. Each leader's problem
+  /// is moved out of its request into the batch state.
+  void submit_batch(std::vector<SolveRequest> requests,
                     CancellationToken cancel, BatchCallback on_result);
 
-  /// Solve one instance (cache-aware). Blocks until done.
-  PortfolioResult solve(const core::MulticastProblem& problem,
-                        const RequestOptions& request = {});
+  /// Solve one request (cache-aware). Blocks until done.
+  PortfolioResult solve(SolveRequest request);
 
   /// Blocking batch (submit_batch() and a latch over its callback);
-  /// results align index-for-index with \p problems.
-  std::vector<PortfolioResult> solve_batch(
-      std::span<const core::MulticastProblem> problems,
-      std::span<const RequestOptions> requests = {});
+  /// results align index-for-index with \p requests.
+  std::vector<PortfolioResult> solve_batch(std::vector<SolveRequest> requests);
+
+  /// The defaults every request's race is resolved against.
+  const ServiceOptions& options() const { return options_; }
 
   CacheStats cache_stats() const { return cache_.stats(); }
   /// Per-shard heat counters of the result cache (index == shard id).
@@ -159,7 +123,7 @@ class PortfolioEngine {
       const std::shared_ptr<detail::EngineBatchState>& state,
       detail::EngineGroup* group);
 
-  EngineOptions options_;
+  ServiceOptions options_;
   // Declared before the pool so they outlive it: the pool's destructor
   // drains in-flight submit_batch() tasks, which still touch the cache
   // and the cumulative trace.

@@ -12,6 +12,7 @@
 #include "core/lp_heuristics.hpp"
 #include "core/tree.hpp"
 #include "core/tree_heuristics.hpp"
+#include "pmcast/service.hpp"
 
 namespace pmcast::runtime {
 namespace {
@@ -58,15 +59,27 @@ bool scatter_bound_cuts(const IncumbentSnapshot& snap) {
 }
 
 /// Which timeline event a finished strategy maps to.
-TraceEventKind terminal_event(const CandidateOutcome& out) {
-  switch (out.state) {
-    case CandidateState::Certified: return TraceEventKind::Certified;
-    case CandidateState::Failed: return TraceEventKind::Failed;
-    case CandidateState::Skipped:
-      return is_pruned(out.skip_reason) ? TraceEventKind::Pruned
-                                        : TraceEventKind::Skipped;
+TraceEventKind terminal_event(OutcomeState state) {
+  switch (state) {
+    case OutcomeState::Certified: return TraceEventKind::Certified;
+    case OutcomeState::Failed: return TraceEventKind::Failed;
+    case OutcomeState::Skipped: return TraceEventKind::Skipped;
+    case OutcomeState::Pruned: return TraceEventKind::Pruned;
   }
   return TraceEventKind::Failed;
+}
+
+/// Add one LP sequence's counters to an outcome's (reinversion counts are
+/// an LP-layer diagnostic and stay in lp::ResolveStats).
+void add_lp(LpStats& to, const lp::ResolveStats& from) {
+  to.solves += from.solves;
+  to.warm_starts += from.warm_starts;
+  to.eta_reuses += from.eta_reuses;
+  to.cold_fallbacks += from.cold_fallbacks;
+  to.iterations += from.iterations;
+  to.columns_priced += from.columns_priced;
+  to.master_iterations += from.master_iterations;
+  to.pricing_ms += from.pricing_ms;
 }
 
 /// Certify a tree candidate: rate 1/period saturates the bottleneck port.
@@ -75,11 +88,11 @@ TraceEventKind terminal_event(const CandidateOutcome& out) {
 /// relative; a period-68 tree certifies as 68.0004).
 void certify_tree(const MulticastProblem& problem,
                   const core::MulticastTree& tree, int simulate_periods,
-                  CandidateOutcome& out) {
+                  StrategyOutcome& out) {
   double period = core::tree_period(problem.graph, tree);
   out.bound_period = period;
   if (!(period > 0.0) || period == kInfinity) {
-    out.state = CandidateState::Failed;
+    out.state = OutcomeState::Failed;
     out.detail = "degenerate tree period";
     return;
   }
@@ -88,19 +101,19 @@ void certify_tree(const MulticastProblem& problem,
   set.rates = {1.0 / period};
   auto cert = core::verify_certificate(problem, set, simulate_periods);
   if (!cert.valid || cert.throughput <= 0.0) {
-    out.state = CandidateState::Failed;
+    out.state = OutcomeState::Failed;
     out.detail = "certificate rejected: " + cert.reason;
     return;
   }
-  out.state = CandidateState::Certified;
+  out.state = OutcomeState::Certified;
   out.period = 1.0 / cert.throughput;
 }
 
 /// Fill a Skipped outcome for work the budget checkpoints interrupted
 /// (\p where: "mid-solve" or "mid-heuristic").
-void mark_interrupted(CandidateOutcome& out, const BudgetGuard& guard,
+void mark_interrupted(StrategyOutcome& out, const BudgetGuard& guard,
                       const char* where) {
-  out.state = CandidateState::Skipped;
+  out.state = OutcomeState::Skipped;
   const bool cancelled = guard.cancelled();
   out.skip_reason =
       cancelled ? SkipReason::Cancelled : SkipReason::DeadlineExpired;
@@ -111,29 +124,29 @@ void mark_interrupted(CandidateOutcome& out, const BudgetGuard& guard,
 /// Certify a scatter (Multicast-UB style) solution by reconstructing its
 /// periodic schedule and statically validating it.
 void certify_flow(const MulticastProblem& problem,
-                  const core::FlowSolution& solution, CandidateOutcome& out) {
+                  const core::FlowSolution& solution, StrategyOutcome& out) {
   out.bound_period = solution.period;
   out.lp.solves += 1;
   out.lp.iterations += solution.iterations;
   if (!solution.ok()) {
-    out.state = CandidateState::Failed;
+    out.state = OutcomeState::Failed;
     out.detail = "LP did not reach optimality";
     return;
   }
   core::FlowSchedule fs = core::build_flow_schedule(problem, solution);
   if (!fs.schedule.ok) {
-    out.state = CandidateState::Failed;
+    out.state = OutcomeState::Failed;
     out.detail = "flow schedule orchestration failed";
     return;
   }
   std::string err =
       sched::validate_schedule(fs.schedule, problem.graph.node_count());
   if (!err.empty()) {
-    out.state = CandidateState::Failed;
+    out.state = OutcomeState::Failed;
     out.detail = "schedule invalid: " + err;
     return;
   }
-  out.state = CandidateState::Certified;
+  out.state = OutcomeState::Certified;
   out.period = fs.period;
 }
 
@@ -145,10 +158,10 @@ void certify_flow(const MulticastProblem& problem,
 void certify_platform(const MulticastProblem& problem,
                       const core::PlatformHeuristicResult& result,
                       const core::FormulationOptions& lp_options,
-                      const BudgetGuard& guard, CandidateOutcome& out) {
+                      const BudgetGuard& guard, StrategyOutcome& out) {
   out.bound_period = result.period;
   if (!result.ok) {
-    out.state = CandidateState::Failed;
+    out.state = OutcomeState::Failed;
     out.detail = "platform heuristic failed";
     return;
   }
@@ -159,21 +172,21 @@ void certify_platform(const MulticastProblem& problem,
   for (NodeId t : problem.targets) {
     NodeId mapped = sub.old_to_new[static_cast<size_t>(t)];
     if (mapped == kInvalidNode) {
-      out.state = CandidateState::Failed;
+      out.state = OutcomeState::Failed;
       out.detail = "platform mask dropped a target";
       return;
     }
     sub_targets.push_back(mapped);
   }
   if (sub_source == kInvalidNode) {
-    out.state = CandidateState::Failed;
+    out.state = OutcomeState::Failed;
     out.detail = "platform mask dropped the source";
     return;
   }
   MulticastProblem sub_problem(std::move(sub.graph), sub_source,
                                std::move(sub_targets));
   if (!sub_problem.feasible()) {
-    out.state = CandidateState::Failed;
+    out.state = OutcomeState::Failed;
     out.detail = "reduced platform disconnects a target";
     return;
   }
@@ -186,7 +199,7 @@ void certify_platform(const MulticastProblem& problem,
   }
   certify_flow(sub_problem, ub, out);
   out.bound_period = result.period;  // certify_flow overwrote it with UB's
-  if (out.state == CandidateState::Certified) {
+  if (out.state == OutcomeState::Certified) {
     out.detail = "certified via scatter on the reduced platform; "
                  "Broadcast-EB bound is advisory";
   }
@@ -203,12 +216,12 @@ void run_exact_colgen(const MulticastProblem& problem,
                       const PortfolioOptions& options,
                       const BudgetGuard& guard,
                       const lp::CheckpointHook& checkpoint,
-                      CandidateOutcome& out) {
+                      StrategyOutcome& out) {
   core::ColumnGenLimits limits;
   limits.should_abort = [&guard] { return guard.expired(); };
   limits.solver.checkpoint = checkpoint;
   core::ExactSolution cg = core::column_generation_throughput(problem, limits);
-  out.lp.merge(cg.lp);
+  add_lp(out.lp, cg.lp);
   // A budget stop with a usable anytime combination still certifies below;
   // only an abort before the first optimal master lands here.
   if (cg.aborted && !(cg.ok && cg.throughput > 0.0)) {
@@ -216,7 +229,7 @@ void run_exact_colgen(const MulticastProblem& problem,
     return;
   }
   if (!cg.ok || cg.throughput <= 0.0) {
-    out.state = CandidateState::Skipped;
+    out.state = OutcomeState::Skipped;
     out.skip_reason = SkipReason::Inapplicable;
     out.detail = "column generation produced no usable combination";
     return;
@@ -225,11 +238,11 @@ void run_exact_colgen(const MulticastProblem& problem,
   auto cert = core::verify_certificate(problem, cg.combination,
                                        options.simulate_periods);
   if (!cert.valid || cert.throughput <= 0.0) {
-    out.state = CandidateState::Failed;
+    out.state = OutcomeState::Failed;
     out.detail = "certificate rejected: " + cert.reason;
     return;
   }
-  out.state = CandidateState::Certified;
+  out.state = OutcomeState::Certified;
   out.period = 1.0 / cert.throughput;
   out.detail = "certified via column generation (" +
                std::to_string(cg.lp.columns_priced) +
@@ -241,35 +254,22 @@ void run_exact_colgen(const MulticastProblem& problem,
 void run_exact(const MulticastProblem& problem,
                const PortfolioOptions& options, const BudgetGuard& guard,
                const lp::CheckpointHook& checkpoint,
-               CandidateOutcome& out) {
-  // Guard against sentinel-valued budgets (SolveBudget::inherit()) that
-  // reach a solve without being resolve()d against engine defaults:
-  // "inherit" must never mean "skip everything" / "enumerate nothing".
-  const SolveBudget defaults;
-  const int max_nodes = options.budget.exact_max_nodes >= 0
-                            ? options.budget.exact_max_nodes
-                            : defaults.exact_max_nodes;
-  const std::size_t max_trees = options.budget.exact_max_trees > 0
-                                    ? options.budget.exact_max_trees
-                                    : defaults.exact_max_trees;
-  if (problem.graph.node_count() > max_nodes) {
+               StrategyOutcome& out) {
+  if (problem.graph.node_count() > options.budget.exact_max_nodes) {
     // Too large to enumerate; the column-generation solver picks instances
     // up to colgen_max_nodes instead of skipping. Off (0) by default so
     // the enumeration-only portfolio is unchanged unless opted in.
-    const int colgen_max = options.budget.colgen_max_nodes >= 0
-                               ? options.budget.colgen_max_nodes
-                               : defaults.colgen_max_nodes;
-    if (problem.graph.node_count() <= colgen_max) {
+    if (problem.graph.node_count() <= options.budget.colgen_max_nodes) {
       run_exact_colgen(problem, options, guard, checkpoint, out);
       return;
     }
-    out.state = CandidateState::Skipped;
+    out.state = OutcomeState::Skipped;
     out.skip_reason = SkipReason::Inapplicable;
     out.detail = "instance above exact_max_nodes";
     return;
   }
   core::EnumerationLimits limits;
-  limits.max_trees = max_trees;
+  limits.max_trees = options.budget.exact_max_trees;
   limits.should_abort = [&guard] { return guard.expired(); };
   limits.solver.checkpoint = checkpoint;
   core::ExactSolution exact = core::exact_optimal_throughput(problem, limits);
@@ -280,7 +280,7 @@ void run_exact(const MulticastProblem& problem,
     return;
   }
   if (!exact.ok) {
-    out.state = CandidateState::Skipped;
+    out.state = OutcomeState::Skipped;
     out.skip_reason = SkipReason::EnumerationLimit;
     out.detail = "tree enumeration limit exceeded";
     return;
@@ -290,11 +290,11 @@ void run_exact(const MulticastProblem& problem,
   auto cert = core::verify_certificate(problem, exact.combination,
                                        options.simulate_periods);
   if (!cert.valid || cert.throughput <= 0.0) {
-    out.state = CandidateState::Failed;
+    out.state = OutcomeState::Failed;
     out.detail = "certificate rejected: " + cert.reason;
     return;
   }
-  out.state = CandidateState::Certified;
+  out.state = OutcomeState::Certified;
   // The rationalised realisation may differ from the LP optimum by the
   // rationalisation error; report what the validated schedule achieves.
   out.period = 1.0 / cert.throughput;
@@ -302,15 +302,15 @@ void run_exact(const MulticastProblem& problem,
 
 /// The body of run_strategy; the public wrapper adds the Launch/terminal
 /// timeline events around it so no early return can skip them.
-CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
+StrategyOutcome run_strategy_impl(const core::MulticastProblem& problem,
                                    StrategyId strategy,
                                    const PortfolioOptions& options,
                                    const BudgetGuard& guard,
                                    const StrategyEnv* env, Tracer* tracer) {
-  CandidateOutcome out;
+  StrategyOutcome out;
   out.strategy = strategy;
   if (guard.expired()) {
-    out.state = CandidateState::Skipped;
+    out.state = OutcomeState::Skipped;
     out.skip_reason = guard.cancelled() ? SkipReason::Cancelled
                                         : SkipReason::DeadlineExpired;
     out.detail = "budget exhausted before start";
@@ -331,7 +331,7 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
                             : kInfinity);
     }
     if (early_win) {
-      out.state = CandidateState::Skipped;
+      out.state = OutcomeState::Pruned;
       out.skip_reason = SkipReason::EarlyWin;
       out.detail = "incumbent already meets the proven lower bound";
       return out;
@@ -346,7 +346,7 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
                               : kInfinity);
       }
       if (cut) {
-        out.state = CandidateState::Skipped;
+        out.state = OutcomeState::Pruned;
         out.skip_reason = SkipReason::Dominated;
         out.detail = "certifies via sub-platform scatter, which cannot beat "
                      "the incumbent (below the full-platform scatter bound)";
@@ -405,7 +405,7 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
                       ? core::pruned_dijkstra(problem)
                       : core::kmb(problem);
       if (!tree) {
-        out.state = CandidateState::Failed;
+        out.state = OutcomeState::Failed;
         out.detail = "no spanning tree found";
       } else {
         certify_tree(problem, *tree, options.simulate_periods, out);
@@ -441,7 +441,7 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
           out.lp.solves += 1;
           out.lp.iterations += ub.iterations;
           out.bound_period = ub.period;
-          out.state = CandidateState::Skipped;
+          out.state = OutcomeState::Pruned;
           out.skip_reason = SkipReason::Dominated;
           out.detail = "scatter bound already beaten by the incumbent; "
                        "schedule reconstruction skipped";
@@ -454,28 +454,28 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
     case StrategyId::AugmentedSources: {
       auto as = core::augmented_sources(problem, heuristic_options);
       out.bound_period = as.period;
-      out.lp.merge(as.lp_stats);
+      add_lp(out.lp, as.lp_stats);
       if (finish_heuristic(as.aborted, as.probes_skipped)) break;
       if (!as.ok) {
-        out.state = CandidateState::Failed;
+        out.state = OutcomeState::Failed;
         out.detail = "augmented_sources failed";
         break;
       }
       core::FlowSchedule fs =
           core::build_multisource_schedule(problem, as.sources, as.solution);
       if (!fs.schedule.ok) {
-        out.state = CandidateState::Failed;
+        out.state = OutcomeState::Failed;
         out.detail = "multisource schedule orchestration failed";
         break;
       }
       std::string err =
           sched::validate_schedule(fs.schedule, problem.graph.node_count());
       if (!err.empty()) {
-        out.state = CandidateState::Failed;
+        out.state = OutcomeState::Failed;
         out.detail = "schedule invalid: " + err;
         break;
       }
-      out.state = CandidateState::Certified;
+      out.state = OutcomeState::Certified;
       out.period = fs.period;
       break;
     }
@@ -485,7 +485,7 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
                           ? core::reduced_broadcast(problem, heuristic_options)
                           : core::augmented_multicast(problem,
                                                       heuristic_options);
-      out.lp.merge(platform.lp_stats);
+      add_lp(out.lp, platform.lp_stats);
       if (finish_heuristic(platform.aborted, platform.probes_skipped)) {
         out.bound_period = platform.period;
         break;
@@ -500,7 +500,7 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
   out.elapsed_ms = ms_since(start);
 
   // --- publish ------------------------------------------------------------
-  if (shared != nullptr && out.state == CandidateState::Certified) {
+  if (shared != nullptr && out.state == OutcomeState::Certified) {
     shared->publish_certified(out.period, launch_index);
   }
   return out;
@@ -542,7 +542,7 @@ lp::CheckpointHook lp_checkpoint(const BudgetGuard& guard, Tracer* tracer,
   };
 }
 
-CandidateOutcome run_strategy(const core::MulticastProblem& problem,
+StrategyOutcome run_strategy(const core::MulticastProblem& problem,
                               StrategyId strategy,
                               const PortfolioOptions& options,
                               const BudgetGuard& guard,
@@ -553,17 +553,45 @@ CandidateOutcome run_strategy(const core::MulticastProblem& problem,
     tracer->event(TraceEventKind::Launch, slot,
                   static_cast<std::uint8_t>(strategy), 0.0);
   }
-  CandidateOutcome out =
+  StrategyOutcome out =
       run_strategy_impl(problem, strategy, options, guard, env, tracer);
   if (tracer != nullptr) {
-    const double value = out.state == CandidateState::Certified
+    const double value = out.state == OutcomeState::Certified
                              ? out.period
                              : (out.bound_period < kInfinity ? out.bound_period
                                                              : 0.0);
-    tracer->event(terminal_event(out), slot,
+    tracer->event(terminal_event(out.state), slot,
                   static_cast<std::uint8_t>(strategy), value);
   }
   return out;
+}
+
+PortfolioOptions resolve_race(const ServiceOptions& service,
+                              const SolveRequest& request) {
+  PortfolioOptions race;
+  const std::vector<StrategyId>& allowlist =
+      request.strategies.empty() ? service.strategies : request.strategies;
+  if (!allowlist.empty()) race.strategies = allowlist;
+  const double deadline_ms = request.deadline_ms != 0.0
+                                 ? request.deadline_ms
+                                 : service.default_deadline_ms;
+  race.budget.deadline_ms = deadline_ms > 0.0 ? deadline_ms : 0.0;
+  race.budget.exact_max_nodes = request.limits.exact_max_nodes >= 0
+                                    ? request.limits.exact_max_nodes
+                                    : service.exact_max_nodes;
+  race.budget.exact_max_trees = request.limits.exact_max_trees > 0
+                                    ? request.limits.exact_max_trees
+                                    : service.exact_max_trees;
+  race.budget.colgen_max_nodes = request.limits.colgen_max_nodes >= 0
+                                     ? request.limits.colgen_max_nodes
+                                     : service.colgen_max_nodes;
+  race.simulate_periods = service.simulate_periods;
+  race.pruning = request.pruning.value_or(service.pruning);
+  if (request.known_lower_bound > 0.0) {
+    race.known_lower_bound = request.known_lower_bound;
+  }
+  race.trace = service.trace;
+  return race;
 }
 
 int strategy_stage(StrategyId strategy) {

@@ -21,7 +21,7 @@
 /// and their EB value is kept as an advisory bound (bound_period).
 ///
 /// Determinism: with no deadline, every strategy is a pure function of the
-/// instance, candidates land in fixed slots, and ties break by strategy
+/// instance, outcomes land in fixed slots, and ties break by strategy
 /// order — the result is bit-identical across 1, 2 or 8 threads.
 ///
 /// Cooperative pruning (PruningPolicy, runtime/incumbent.hpp): the race
@@ -35,8 +35,8 @@
 /// barriers so even the per-candidate outcomes are bit-identical across
 /// thread counts.
 ///
-/// Strategies, policies and pruning counters are the public value types of
-/// pmcast/strategy.hpp and pmcast/response.hpp; PortfolioEngine
+/// Strategies, policies, outcomes and pruning counters are the public value
+/// types of pmcast/strategy.hpp and pmcast/response.hpp; PortfolioEngine
 /// (runtime/engine.hpp) orchestrates the race.
 
 #include <cstdint>
@@ -52,49 +52,18 @@
 #include "runtime/incumbent.hpp"
 #include "runtime/trace.hpp"
 
+namespace pmcast {
+struct ServiceOptions;
+struct SolveRequest;
+}  // namespace pmcast
+
 namespace pmcast::runtime {
 
-enum class CandidateState {
-  Certified,  ///< period realised as a schedule and validated
-  Failed,     ///< strategy did not produce a certifiable result
-  Skipped,    ///< budget/deadline/cancellation or inapplicable (e.g. Exact
-              ///< on a large instance)
-};
-
-/// Why a candidate was Skipped — structured so upper layers (the Service
-/// facade's Status classification) never have to match detail strings.
-enum class SkipReason {
-  NotSkipped = 0,
-  Inapplicable,      ///< strategy doesn't apply (instance above exact size)
-  EnumerationLimit,  ///< exact solver hit its tree-enumeration cap
-  DeadlineExpired,   ///< wall-clock deadline hit, possibly mid-LP-solve
-  Cancelled,         ///< cancellation token fired
-  Dominated,         ///< provably cannot beat the incumbent (pruned)
-  EarlyWin,          ///< incumbent already meets the proven lower bound
-};
-
-/// True for the two cooperative-pruning skip reasons.
-inline bool is_pruned(SkipReason reason) {
-  return reason == SkipReason::Dominated || reason == SkipReason::EarlyWin;
-}
-
-struct CandidateOutcome {
-  StrategyId strategy = StrategyId::Mcph;
-  CandidateState state = CandidateState::Skipped;
-  SkipReason skip_reason = SkipReason::NotSkipped;
-  double period = kInfinity;        ///< certified period (time per multicast)
-  double bound_period = kInfinity;  ///< strategy's own claimed/advisory value
-  double elapsed_ms = 0.0;
-  /// LP sequence counters (solves, warm-start hits, eta reuses, fallbacks,
-  /// simplex iterations); all-zero for strategies that solve no LPs.
-  lp::ResolveStats lp;
-  PruneCounters prune;              ///< cooperative-pruning counters
-  std::string detail;               ///< failure reason / certification note
-};
-
+/// One resolved race: what run_strategy and each engine group read. Built
+/// only by resolve_race(), so it carries no inherit sentinels.
 struct PortfolioOptions {
-  /// Strategies to race; empty means all_strategy_ids().
-  std::vector<StrategyId> strategies;
+  /// Strategies to race, in launch order.
+  std::vector<StrategyId> strategies = all_strategy_ids();
   SolveBudget budget;
   /// Extra discrete-event replay periods for tree certificates (0 = the
   /// static checks only; they already include the König orchestration).
@@ -111,11 +80,21 @@ struct PortfolioOptions {
   TraceDetail trace = TraceDetail::Counters;
 };
 
+/// The race \p request asks for under \p service: the one reader of
+/// SolveRequest's inherit sentinels. A positive deadline overrides the
+/// service default, 0 inherits it and kNoDeadline (negative) clears it;
+/// exact_max_nodes < 0, exact_max_trees 0, colgen_max_nodes < 0, an empty
+/// allowlist and an unset pruning policy each inherit the service's value
+/// (an empty service allowlist is every strategy). The resolved deadline is
+/// positive or 0 (none).
+PortfolioOptions resolve_race(const ServiceOptions& service,
+                              const SolveRequest& request);
+
 struct PortfolioResult {
   bool ok = false;             ///< at least one strategy certified
   double period = kInfinity;   ///< best certified period
   StrategyId winner = StrategyId::Mcph;
-  std::vector<CandidateOutcome> candidates;  ///< indexed by launch order
+  std::vector<StrategyOutcome> outcomes;  ///< indexed by launch order
   PruningSummary pruning;
   /// What the tracer recorded for this race (detail == Off when tracing
   /// was disabled; see PortfolioOptions::trace).
@@ -142,8 +121,9 @@ struct StrategyEnv {
 /// Deadlines and cancellation are enforced inside LP solves and the exact
 /// enumeration through cooperative checkpoints: an expired deadline makes
 /// the strategy return Skipped/DeadlineExpired within one checkpoint
-/// interval instead of running the solve to completion.
-CandidateOutcome run_strategy(const core::MulticastProblem& problem,
+/// interval instead of running the solve to completion. A cooperative cut
+/// returns Pruned with Dominated or EarlyWin.
+StrategyOutcome run_strategy(const core::MulticastProblem& problem,
                               StrategyId strategy,
                               const PortfolioOptions& options,
                               const BudgetGuard& guard,

@@ -8,9 +8,6 @@
 namespace pmcast::scenario {
 namespace {
 
-using runtime::CandidateOutcome;
-using runtime::CandidateState;
-
 /// a <= b up to the relative tolerance (scale-aware, absolute floor for
 /// values near zero).
 bool leq(double a, double b, double rel_tol) {
@@ -60,11 +57,11 @@ OracleReport cross_check(const core::MulticastProblem& problem,
     report.lower_bound = lb.period;
   }
 
-  const CandidateOutcome* exact = nullptr;
-  const CandidateOutcome* multicast_ub = nullptr;
-  for (const CandidateOutcome& c : result.candidates) {
+  const StrategyOutcome* exact = nullptr;
+  const StrategyOutcome* multicast_ub = nullptr;
+  for (const StrategyOutcome& c : result.outcomes) {
     switch (c.state) {
-      case CandidateState::Certified: {
+      case OutcomeState::Certified: {
         ++report.certified;
         // Invariant 1: certified period >= LP lower bound.
         if (lb.ok() && !leq(lb.period, c.period, options.rel_tol)) {
@@ -81,7 +78,7 @@ OracleReport cross_check(const core::MulticastProblem& problem,
         if (c.strategy == StrategyId::MulticastUb) multicast_ub = &c;
         break;
       }
-      case CandidateState::Failed:
+      case OutcomeState::Failed:
         ++report.failed;
         // Invariant 4: on a feasible platform every strategy must either
         // certify or declare itself inapplicable (Skipped).
@@ -90,7 +87,8 @@ OracleReport cross_check(const core::MulticastProblem& problem,
                   std::string(strategy_id_name(c.strategy)) + ": " + c.detail);
         }
         break;
-      case CandidateState::Skipped:
+      case OutcomeState::Skipped:
+      case OutcomeState::Pruned:
         ++report.skipped;
         break;
     }
@@ -101,8 +99,8 @@ OracleReport cross_check(const core::MulticastProblem& problem,
   // exempt: they may split and reassemble messages per target, which the
   // compact model forbids, and genuinely beat the tree optimum.
   if (exact != nullptr) {
-    for (const CandidateOutcome& c : result.candidates) {
-      if (c.state != CandidateState::Certified) continue;
+    for (const StrategyOutcome& c : result.outcomes) {
+      if (c.state != OutcomeState::Certified) continue;
       bool single_tree = c.strategy == StrategyId::Mcph ||
                          c.strategy == StrategyId::PrunedDijkstra ||
                          c.strategy == StrategyId::Kmb;
@@ -146,13 +144,14 @@ OracleReport cross_check(const core::MulticastProblem& problem,
   // oracle's own portfolio runs blind. Precomputed results passed to the
   // other overload keep whatever policy produced them.
   // An inline, uncached engine runs the strategies in launch order.
-  runtime::EngineOptions engine_options;
-  engine_options.threads = 0;
-  engine_options.cache_capacity = 0;
-  engine_options.portfolio = options.portfolio;
-  engine_options.portfolio.pruning = PruningPolicy::Off;
-  runtime::PortfolioEngine engine(std::move(engine_options));
-  return cross_check(problem, engine.solve(problem), options);
+  ServiceOptions service = options.service;
+  service.threads = 0;
+  service.cache_capacity = 0;
+  service.pruning = PruningPolicy::Off;
+  runtime::PortfolioEngine engine(std::move(service));
+  SolveRequest request;
+  request.problem = problem;
+  return cross_check(problem, engine.solve(std::move(request)), options);
 }
 
 }  // namespace pmcast::scenario

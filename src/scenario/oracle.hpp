@@ -34,21 +34,23 @@
 
 #include "core/formulations.hpp"
 #include "core/problem.hpp"
+#include "pmcast/service.hpp"
 #include "runtime/portfolio.hpp"
 
 namespace pmcast::scenario {
 
 struct OracleOptions {
-  /// Strategy set / budget / replay config raced by the oracle. Empty
-  /// strategy list = all 8 strategies.
-  runtime::PortfolioOptions portfolio;
+  /// Strategy set / limits / replay config raced by the oracle. Empty
+  /// strategy list = all 8 strategies. The oracle's own race always runs
+  /// inline, uncached and with pruning Off.
+  ServiceOptions service;
   /// Solver options for the Multicast-LB bound.
   core::FormulationOptions lp;
   /// Relative tolerance for every ordering check: absorbs simplex numerics
   /// plus the <= 1e-5 schedule-rationalisation wobble on both sides of a
   /// comparison, while still catching any real (percent-scale) violation.
   double rel_tol = 1e-4;
-  /// Accept CandidateState::Failed outcomes without flagging them
+  /// Accept OutcomeState::Failed outcomes without flagging them
   /// (diagnostic runs on adversarial/infeasible inputs).
   bool allow_failures = false;
 };
@@ -65,7 +67,7 @@ struct OracleReport {
   double gap = kInfinity;     ///< best_period / lower_bound
   int certified = 0;
   int failed = 0;
-  int skipped = 0;
+  int skipped = 0;   ///< skipped or pruned
   bool exact_certified = false;
   double exact_period = kInfinity;
   runtime::PortfolioResult portfolio;  ///< per-strategy outcomes

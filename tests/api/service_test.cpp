@@ -10,11 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <vector>
 
 #include "graph/rng.hpp"
+#include "runtime/engine.hpp"
+#include "test_requests.hpp"
+#include "topology/tiers.hpp"
 
 namespace pmcast {
 namespace {
@@ -45,12 +49,6 @@ ServiceOptions with_threads(int threads) {
   ServiceOptions options;
   options.threads = threads;
   return options;
-}
-
-SolveRequest request_for(Problem problem) {
-  SolveRequest request;
-  request.problem = std::move(problem);
-  return request;
 }
 
 TEST(Service, SolveReturnsCertifiedResponse) {
@@ -402,6 +400,237 @@ TEST(Service, EmptyBatchCompletesImmediately) {
   EXPECT_TRUE(batch.done());
   batch.wait_all();
   EXPECT_EQ(batch.size(), 0u);
+}
+
+Problem golden_problem(const std::string& file) {
+  Result<PlatformFile> platform =
+      load_platform(std::string(PMCAST_TEST_DATA_DIR) + "/" + file);
+  EXPECT_TRUE(platform.ok()) << file;
+  return Problem(platform->graph, platform->source, platform->targets);
+}
+
+/// The 22-node tiers platform of DeadlineGranularity (budget_test.cpp).
+Problem tiers_problem() {
+  topo::TiersParams params;
+  params.wan_nodes = 4;
+  params.mans = 2;
+  params.man_nodes = 3;
+  params.lans = 3;
+  params.lan_nodes = 12;
+  topo::Platform platform = topo::generate_tiers(params, 5);
+  Rng rng(5 + 17);
+  auto targets = topo::sample_targets(platform, 0.5, rng);
+  return Problem(platform.graph, platform.source, targets);
+}
+
+/// A 25 ms race on tiers_problem() that certifies a tree and is cut in
+/// the LP refinement heuristics, one of which wins the uncut race
+/// (augmented_sources: 393 vs mcph's 411 in Release). Pruning is off
+/// so no LB probe runs ahead of the trees: on an inline service the trees
+/// certify first even in sanitizer builds.
+SolveRequest deadline_cut_request() {
+  SolveRequest request = request_for(tiers_problem());
+  request.pruning = PruningPolicy::Off;
+  request.deadline_ms = 25.0;
+  return request;
+}
+
+bool has_skip(const SolveResponse& response, SkipReason reason) {
+  for (const StrategyOutcome& outcome : response.outcomes) {
+    if (outcome.skip_reason == reason) return true;
+  }
+  return false;
+}
+
+TEST(Service, CacheServesOnlyTheRaceItRan) {
+  const Problem problem = golden_problem("power_law-n8-d80u-s3.platform");
+  SolveRequest full = request_for(problem);
+  SolveRequest mcph_only = request_for(problem);
+  mcph_only.strategies = {StrategyId::Mcph};
+  SolveRequest no_exact = request_for(problem);
+  no_exact.limits.exact_max_nodes = 0;
+
+  // Each race's own answer, from services that never saw another setting.
+  auto fresh = [](const SolveRequest& request) {
+    Result<SolveResponse> r = Service(with_threads(1)).solve(request);
+    EXPECT_TRUE(r.ok()) << r.status().to_string();
+    return *r;
+  };
+  const SolveResponse full_ref = fresh(full);
+  const SolveResponse mcph_ref = fresh(mcph_only);
+  const SolveResponse no_exact_ref = fresh(no_exact);
+  ASSERT_NE(full_ref.period, mcph_ref.period);
+  ASSERT_NE(full_ref.period, no_exact_ref.period);
+
+  {  // A default request after an mcph-only one races in full.
+    Service service(with_threads(1));
+    ASSERT_TRUE(service.solve(mcph_only).ok());
+    Result<SolveResponse> r = service.solve(full);
+    ASSERT_TRUE(r.ok());
+    EXPECT_FALSE(r->provenance.from_cache);
+    EXPECT_EQ(r->period, full_ref.period);
+    EXPECT_EQ(r->outcomes.size(), all_strategy_ids().size());
+    // The same setting again is a hit.
+    Result<SolveResponse> again = service.solve(full);
+    ASSERT_TRUE(again.ok());
+    EXPECT_TRUE(again->provenance.from_cache);
+    EXPECT_EQ(again->period, full_ref.period);
+  }
+  {  // An mcph-only request after a default one keeps its allowlist.
+    Service service(with_threads(1));
+    ASSERT_TRUE(service.solve(full).ok());
+    Result<SolveResponse> r = service.solve(mcph_only);
+    ASSERT_TRUE(r.ok());
+    EXPECT_FALSE(r->provenance.from_cache);
+    ASSERT_EQ(r->outcomes.size(), 1u);
+    EXPECT_EQ(r->winner, StrategyId::Mcph);
+    EXPECT_EQ(r->period, mcph_ref.period);
+  }
+  {  // In one batch, a default request is not coalesced onto an
+     // mcph-only one; a duplicate with the same settings still is.
+    Service service(with_threads(1));
+    std::vector<Result<SolveResponse>> r =
+        service.solve_batch({mcph_only, full, full});
+    ASSERT_EQ(r.size(), 3u);
+    ASSERT_TRUE(r[0].ok() && r[1].ok() && r[2].ok());
+    EXPECT_EQ(r[0]->period, mcph_ref.period);
+    EXPECT_FALSE(r[1]->provenance.coalesced);
+    EXPECT_EQ(r[1]->period, full_ref.period);
+    EXPECT_TRUE(r[2]->provenance.coalesced);
+    EXPECT_EQ(r[2]->period, full_ref.period);
+  }
+  {  // A default request after one without the exact strategy.
+    Service service(with_threads(1));
+    Result<SolveResponse> first = service.solve(no_exact);
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(first->period, no_exact_ref.period);
+    Result<SolveResponse> r = service.solve(full);
+    ASSERT_TRUE(r.ok());
+    EXPECT_FALSE(r->provenance.from_cache);
+    EXPECT_EQ(r->period, full_ref.period);
+  }
+  {  // A race its deadline cut is not cached: the next request, without
+     // a deadline, runs its own race, uncut.
+    Service service(with_threads(0));
+    SolveRequest cut = deadline_cut_request();
+    Result<SolveResponse> first = service.solve(cut);
+    ASSERT_TRUE(first.ok()) << first.status().to_string();
+    ASSERT_TRUE(has_skip(*first, SkipReason::DeadlineExpired));
+    cut.deadline_ms = 0.0;
+    Result<SolveResponse> r = service.solve(cut);
+    ASSERT_TRUE(r.ok());
+    EXPECT_FALSE(r->provenance.from_cache);
+    EXPECT_FALSE(has_skip(*r, SkipReason::DeadlineExpired));
+    EXPECT_LE(r->period, first->period);
+  }
+}
+
+TEST(Service, DeadlinesBeyondTheClockNeverExpire) {
+  ServiceOptions options = with_threads(1);
+  options.cache_capacity = 0;  // every request races
+  Service service(options);
+  SolveRequest request = request_for(random_problem(7));
+  Result<SolveResponse> reference = service.solve(request);
+  ASSERT_TRUE(reference.ok());
+  for (double deadline_ms : {9.2e12, 9.3e12, 1e13, 1e300,
+                             std::numeric_limits<double>::infinity()}) {
+    request.deadline_ms = deadline_ms;
+    Result<SolveResponse> r = service.solve(request);
+    ASSERT_TRUE(r.ok()) << deadline_ms << " ms: " << r.status().to_string();
+    EXPECT_EQ(r->period, reference->period) << deadline_ms << " ms";
+  }
+  request.deadline_ms = std::numeric_limits<double>::quiet_NaN();
+  Result<SolveResponse> nan = service.solve(request);
+  ASSERT_FALSE(nan.ok());
+  EXPECT_EQ(nan.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(Service, OutcomesCarryTheirSkipReason) {
+  // Certified and Failed outcomes are never skipped; Pruned ones always
+  // say why, and the pruning summary counts exactly those.
+  auto check_states = [](const std::vector<StrategyOutcome>& outcomes) {
+    for (const StrategyOutcome& o : outcomes) {
+      if (o.state == OutcomeState::Certified ||
+          o.state == OutcomeState::Failed) {
+        EXPECT_EQ(o.skip_reason, SkipReason::NotSkipped)
+            << strategy_id_name(o.strategy);
+      }
+      if (o.state == OutcomeState::Pruned) {
+        EXPECT_TRUE(o.skip_reason == SkipReason::Dominated ||
+                    o.skip_reason == SkipReason::EarlyWin)
+            << strategy_id_name(o.strategy);
+      }
+    }
+  };
+
+  Service service(with_threads(0));  // Deterministic pruning by default
+  int pruned = 0;
+  for (const char* file : {"tiers-n8-d50u-s1.platform",
+                           "star-n8-d80l-s6.platform",
+                           "power_law-n8-d80u-s3.platform"}) {
+    Result<SolveResponse> r = service.solve(request_for(golden_problem(file)));
+    ASSERT_TRUE(r.ok()) << file;
+    check_states(r->outcomes);
+    int dominated = 0;
+    int early_win = 0;
+    for (const StrategyOutcome& o : r->outcomes) {
+      if (o.state != OutcomeState::Pruned) continue;
+      ++pruned;
+      dominated += o.skip_reason == SkipReason::Dominated;
+      early_win += o.skip_reason == SkipReason::EarlyWin;
+    }
+    EXPECT_EQ(dominated, r->pruning.strategies_pruned) << file;
+    EXPECT_EQ(early_win, r->pruning.early_win_cancels) << file;
+  }
+  EXPECT_GT(pruned, 0) << "no golden instance pruned under Deterministic";
+
+  // Inapplicable: the exact strategy above a per-request node limit.
+  SolveRequest no_exact = request_for(random_problem(8));
+  no_exact.limits.exact_max_nodes = 0;
+  Result<SolveResponse> r = service.solve(no_exact);
+  ASSERT_TRUE(r.ok());
+  check_states(r->outcomes);
+  for (const StrategyOutcome& o : r->outcomes) {
+    if (o.strategy == StrategyId::Exact) {
+      EXPECT_EQ(o.state, OutcomeState::Skipped);
+      EXPECT_EQ(o.skip_reason, SkipReason::Inapplicable);
+    }
+  }
+
+  // A deadline that cuts the race mid-way: the cut strategies say so.
+  Result<SolveResponse> deadline = service.solve(deadline_cut_request());
+  ASSERT_TRUE(deadline.ok()) << deadline.status().to_string();
+  check_states(deadline->outcomes);
+  EXPECT_TRUE(has_skip(*deadline, SkipReason::DeadlineExpired));
+
+  // Requests that certify nothing surface as a Status; their outcomes
+  // are visible on the engine's result, the same StrategyOutcome type.
+  runtime::PortfolioEngine engine(with_threads(0));
+  SolveRequest expired = request_for(random_problem(9));
+  expired.deadline_ms = 1e-6;
+  SolveRequest cancelled = request_for(random_problem(10));
+  cancelled.cancel.request_stop();
+  SolveRequest infeasible;
+  infeasible.problem.graph.add_nodes(3);
+  infeasible.problem.graph.add_edge(0, 1, 1.0);
+  infeasible.problem.source = 0;
+  infeasible.problem.targets = {2};
+  std::vector<runtime::PortfolioResult> results =
+      engine.solve_batch({expired, cancelled, infeasible});
+  ASSERT_EQ(results.size(), 3u);
+  for (const StrategyOutcome& o : results[0].outcomes) {
+    EXPECT_EQ(o.state, OutcomeState::Skipped);
+    EXPECT_EQ(o.skip_reason, SkipReason::DeadlineExpired);
+  }
+  for (const StrategyOutcome& o : results[1].outcomes) {
+    EXPECT_EQ(o.state, OutcomeState::Skipped);
+    EXPECT_EQ(o.skip_reason, SkipReason::Cancelled);
+  }
+  ASSERT_FALSE(results[2].outcomes.empty());
+  for (const StrategyOutcome& o : results[2].outcomes) {
+    EXPECT_EQ(o.state, OutcomeState::Failed);
+  }
+  check_states(results[2].outcomes);
 }
 
 }  // namespace

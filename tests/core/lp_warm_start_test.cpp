@@ -26,6 +26,7 @@
 #include "graph/io.hpp"
 #include "runtime/runtime.hpp"
 #include "scenario/generator.hpp"
+#include "test_requests.hpp"
 
 #ifndef PMCAST_TEST_DATA_DIR
 #error "PMCAST_TEST_DATA_DIR must point at tests/data (set by CMake)"
@@ -153,12 +154,12 @@ TEST(WarmStartDifferential, EngineDeterministicAcrossThreadCountsWithWarmLp) {
   };
   std::vector<runtime::PortfolioResult> expected;
   for (int threads : {1, 2, 8}) {
-    runtime::EngineOptions options;
+    ServiceOptions options;
     options.threads = threads;
     options.cache_capacity = 0;  // force real solves on every run
-    options.portfolio.strategies = lp_strategies;
+    options.strategies = lp_strategies;
     runtime::PortfolioEngine engine(options);
-    auto results = engine.solve_batch(batch);
+    auto results = engine.solve_batch(requests_for(batch));
     if (threads == 1) {
       expected = std::move(results);
       for (const auto& r : expected) EXPECT_TRUE(r.ok);
@@ -171,13 +172,13 @@ TEST(WarmStartDifferential, EngineDeterministicAcrossThreadCountsWithWarmLp) {
           << threads << "t #" << i;
       EXPECT_EQ(results[i].winner, expected[i].winner)
           << threads << "t #" << i;
-      ASSERT_EQ(results[i].candidates.size(), expected[i].candidates.size());
-      for (size_t c = 0; c < results[i].candidates.size(); ++c) {
-        EXPECT_EQ(results[i].candidates[c].lp.solves,
-                  expected[i].candidates[c].lp.solves)
+      ASSERT_EQ(results[i].outcomes.size(), expected[i].outcomes.size());
+      for (size_t c = 0; c < results[i].outcomes.size(); ++c) {
+        EXPECT_EQ(results[i].outcomes[c].lp.solves,
+                  expected[i].outcomes[c].lp.solves)
             << threads << "t #" << i << " strategy " << c;
-        EXPECT_EQ(results[i].candidates[c].lp.iterations,
-                  expected[i].candidates[c].lp.iterations)
+        EXPECT_EQ(results[i].outcomes[c].lp.iterations,
+                  expected[i].outcomes[c].lp.iterations)
             << threads << "t #" << i << " strategy " << c;
       }
     }

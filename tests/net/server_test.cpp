@@ -1,8 +1,9 @@
 /// End-to-end daemon suite over real loopback sockets: solve round-trips
-/// (including cache hits), remote stats, protocol-error handling, duplicate
-/// request ids, the in-flight cap on no-deadline requests, and graceful
-/// drain with work in flight. Every server runs on an ephemeral port with
-/// run() on a background thread.
+/// (including cache hits and deadlines past the clock's range), remote
+/// stats, protocol-error handling, duplicate request ids, the in-flight
+/// cap on no-deadline requests, and graceful drain with work in flight.
+/// Every server runs on an ephemeral port with run() on a background
+/// thread.
 
 #include "net/server.hpp"
 
@@ -101,6 +102,32 @@ TEST(ServerTest, SolveRoundTripMatchesLocalServiceAndHitsCache) {
   EXPECT_EQ(stats.responses_sent, 2u);
   EXPECT_EQ(stats.errors_sent, 0u);
   EXPECT_EQ(stats.protocol_errors, 0u);
+}
+
+TEST(ServerTest, DeadlinesBeyondTheClockCertifyOverTheWire) {
+  // The decoder accepts any finite deadline >= 0. One too far out for the
+  // clock to represent never expires: the server certifies, and the
+  // client waits without a receive timeout. The cache is off so every
+  // request races.
+  ServerOptions options;
+  options.service.threads = 1;
+  options.service.cache_capacity = 0;
+  TestDaemon daemon(options);
+
+  Result<Client> client =
+      Client::connect("127.0.0.1", daemon.server.port());
+  ASSERT_TRUE(client.ok()) << client.status().to_string();
+  SolveRequest request;
+  request.problem = diamond_problem();
+  Result<RemoteResponse> reference = client->solve(request);
+  ASSERT_TRUE(reference.ok()) << reference.status().to_string();
+  for (double deadline_ms : {1e13, 1e300}) {
+    request.deadline_ms = deadline_ms;
+    Result<RemoteResponse> r = client->solve(request);
+    ASSERT_TRUE(r.ok()) << deadline_ms << " ms: " << r.status().to_string();
+    EXPECT_FALSE(r->from_cache);
+    EXPECT_EQ(r->period, reference->period) << deadline_ms << " ms";
+  }
 }
 
 TEST(ServerTest, RemoteStatsReflectServing) {

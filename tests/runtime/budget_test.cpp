@@ -1,8 +1,8 @@
-/// SolveBudget sentinel semantics. The deadline field is three-valued on a
-/// request budget: 0 inherits the engine default, positive overrides it,
-/// and kNoDeadline (negative) explicitly clears it — the opt-out that the
-/// old two-valued encoding (where 0 meant both "inherit" and "unlimited")
-/// could not express through resolve().
+/// Budget semantics. resolve_race() is the one reader of SolveRequest's
+/// inherit sentinels: the deadline is three-valued — 0 inherits the
+/// service default, positive overrides it, and kNoDeadline (negative)
+/// explicitly clears it — and every other unset field defers to
+/// ServiceOptions. A resolved SolveBudget carries no sentinels.
 
 #include "runtime/budget.hpp"
 
@@ -14,6 +14,7 @@
 #include "graph/io.hpp"
 #include "graph/rng.hpp"
 #include "runtime/runtime.hpp"
+#include "test_requests.hpp"
 #include "topology/tiers.hpp"
 
 #ifndef PMCAST_TEST_DATA_DIR
@@ -23,36 +24,68 @@
 namespace pmcast::runtime {
 namespace {
 
-SolveBudget engine_default_with_deadline(double ms) {
-  SolveBudget base;  // engine defaults: unlimited wall clock, bounded exact
-  base.deadline_ms = ms;
-  return base;
+ServiceOptions service_with_deadline(double ms) {
+  ServiceOptions service;
+  service.default_deadline_ms = ms;
+  return service;
 }
 
-TEST(SolveBudget, InheritDefersEveryField) {
-  SolveBudget base = engine_default_with_deadline(250.0);
-  base.exact_max_nodes = 7;
-  base.exact_max_trees = 1234;
-  SolveBudget merged = SolveBudget::inherit().resolve(base);
-  EXPECT_EQ(merged.deadline_ms, 250.0);
-  EXPECT_EQ(merged.exact_max_nodes, 7);
-  EXPECT_EQ(merged.exact_max_trees, 1234u);
+TEST(ResolveRace, InheritDefersEveryField) {
+  ServiceOptions service = service_with_deadline(250.0);
+  service.exact_max_nodes = 7;
+  service.exact_max_trees = 1234;
+  service.colgen_max_nodes = 40;
+  service.strategies = {StrategyId::Kmb, StrategyId::Mcph};
+  service.pruning = PruningPolicy::Off;
+  const PortfolioOptions race = resolve_race(service, SolveRequest{});
+  EXPECT_EQ(race.budget.deadline_ms, 250.0);
+  EXPECT_EQ(race.budget.exact_max_nodes, 7);
+  EXPECT_EQ(race.budget.exact_max_trees, 1234u);
+  EXPECT_EQ(race.budget.colgen_max_nodes, 40);
+  EXPECT_EQ(race.strategies, service.strategies);
+  EXPECT_EQ(race.pruning, PruningPolicy::Off);
+
+  // An empty service allowlist resolves to every strategy, in order.
+  EXPECT_EQ(resolve_race(ServiceOptions{}, SolveRequest{}).strategies,
+            all_strategy_ids());
 }
 
-TEST(SolveBudget, PositiveDeadlineOverridesTheDefault) {
-  SolveBudget request = SolveBudget::inherit();
+TEST(ResolveRace, RequestFieldsOverrideTheService) {
+  ServiceOptions service = service_with_deadline(250.0);
+  service.strategies = {StrategyId::Kmb};
+  SolveRequest request;
+  request.limits.exact_max_nodes = 0;
+  request.limits.exact_max_trees = 10;
+  request.limits.colgen_max_nodes = 0;
+  request.strategies = {StrategyId::Exact, StrategyId::Mcph};
+  request.pruning = PruningPolicy::Off;
+  request.known_lower_bound = 2.5;
+  const PortfolioOptions race = resolve_race(service, request);
+  EXPECT_EQ(race.budget.exact_max_nodes, 0);
+  EXPECT_EQ(race.budget.exact_max_trees, 10u);
+  EXPECT_EQ(race.budget.colgen_max_nodes, 0);
+  EXPECT_EQ(race.strategies, request.strategies);
+  EXPECT_EQ(race.pruning, PruningPolicy::Off);
+  EXPECT_EQ(race.known_lower_bound, 2.5);
+}
+
+TEST(ResolveRace, PositiveDeadlineOverridesTheDefault) {
+  SolveRequest request;
   request.deadline_ms = 10.0;
-  SolveBudget merged = request.resolve(engine_default_with_deadline(250.0));
-  EXPECT_EQ(merged.deadline_ms, 10.0);
+  const PortfolioOptions race =
+      resolve_race(service_with_deadline(250.0), request);
+  EXPECT_EQ(race.budget.deadline_ms, 10.0);
 }
 
-TEST(SolveBudget, NoDeadlineSentinelClearsTheDefault) {
-  SolveBudget request = SolveBudget::inherit();
-  request.deadline_ms = SolveBudget::kNoDeadline;
-  SolveBudget merged = request.resolve(engine_default_with_deadline(250.0));
-  EXPECT_LT(merged.deadline_ms, 0.0);
-  // The merged budget never expires.
-  EXPECT_EQ(merged.deadline_from(Clock::now()), Clock::time_point::max());
+TEST(ResolveRace, NoDeadlineSentinelClearsTheDefault) {
+  SolveRequest request;
+  request.deadline_ms = SolveRequest::kNoDeadline;
+  const PortfolioOptions race =
+      resolve_race(service_with_deadline(250.0), request);
+  EXPECT_EQ(race.budget.deadline_ms, 0.0);
+  // The resolved budget never expires.
+  EXPECT_EQ(race.budget.deadline_from(Clock::now()),
+            Clock::time_point::max());
 }
 
 TEST(SolveBudget, ZeroStillMeansUnlimitedOnAnEngineBudget) {
@@ -72,9 +105,8 @@ TEST(SolveBudget, PositiveDeadlineAnchorsOnStart) {
 TEST(SolveBudget, NoDeadlineRequestSurvivesAStarvingEngineDefault) {
   // Engine-wide default so tight every inheriting request is starved; the
   // explicit opt-out must still solve.
-  EngineOptions options;
+  ServiceOptions options = service_with_deadline(1e-6);
   options.threads = 0;
-  options.portfolio.budget.deadline_ms = 1e-6;
 
   Digraph g(3);
   g.add_bidirectional(0, 1, 1.0);
@@ -82,12 +114,12 @@ TEST(SolveBudget, NoDeadlineRequestSurvivesAStarvingEngineDefault) {
   core::MulticastProblem problem(g, 0, {2});
 
   PortfolioEngine engine(options);
-  PortfolioResult starved = engine.solve(problem);
+  PortfolioResult starved = engine.solve(request_for(problem));
   EXPECT_FALSE(starved.ok);
 
-  RequestOptions unlimited;
-  unlimited.budget.deadline_ms = SolveBudget::kNoDeadline;
-  PortfolioResult solved = engine.solve(problem, unlimited);
+  SolveRequest unlimited = request_for(problem);
+  unlimited.deadline_ms = SolveRequest::kNoDeadline;
+  PortfolioResult solved = engine.solve(std::move(unlimited));
   EXPECT_TRUE(solved.ok);
 }
 
@@ -97,7 +129,7 @@ TEST(SolveBudget, CoalescedFollowerWithNoDeadlineWidensTheGroupDeadline) {
   // deadline — kNoDeadline's contract must hold even through coalescing,
   // so the group runs under its most permissive member's deadline and
   // both members certify.
-  EngineOptions options;
+  ServiceOptions options;
   options.threads = 0;
   options.cache_capacity = 0;  // keep both requests in one live group
 
@@ -105,14 +137,12 @@ TEST(SolveBudget, CoalescedFollowerWithNoDeadlineWidensTheGroupDeadline) {
   g.add_bidirectional(0, 1, 1.0);
   g.add_bidirectional(1, 2, 1.0);
   core::MulticastProblem problem(g, 0, {2});
-  std::vector<core::MulticastProblem> batch{problem, problem};
-
-  std::vector<RequestOptions> requests(2);
-  requests[0].budget.deadline_ms = 1e-6;  // expired at batch entry
-  requests[1].budget.deadline_ms = SolveBudget::kNoDeadline;
+  std::vector<SolveRequest> requests = requests_for({problem, problem});
+  requests[0].deadline_ms = 1e-6;  // expired at batch entry
+  requests[1].deadline_ms = SolveRequest::kNoDeadline;
 
   PortfolioEngine engine(options);
-  auto results = engine.solve_batch(batch, requests);
+  auto results = engine.solve_batch(std::move(requests));
   ASSERT_EQ(results.size(), 2u);
   EXPECT_TRUE(results[1].ok) << "kNoDeadline follower was starved";
   EXPECT_TRUE(results[1].coalesced);
@@ -140,14 +170,13 @@ TEST(DeadlineGranularity, MidLpDeadlineReturnsWithinCheckpointInterval) {
   auto targets = topo::sample_targets(platform, 0.5, rng);
   core::MulticastProblem problem(platform.graph, platform.source, targets);
 
-  EngineOptions options;
+  ServiceOptions options = service_with_deadline(25.0);
   options.threads = 0;  // inline, in launch order
   options.cache_capacity = 0;
-  options.portfolio.pruning = PruningPolicy::Off;  // isolate deadlines
-  options.portfolio.budget.deadline_ms = 25.0;
+  options.pruning = PruningPolicy::Off;  // isolate deadlines
   PortfolioEngine engine(options);
   auto start = Clock::now();
-  PortfolioResult result = engine.solve(problem);
+  PortfolioResult result = engine.solve(request_for(problem));
   double elapsed_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - start)
           .count();
@@ -161,11 +190,11 @@ TEST(DeadlineGranularity, MidLpDeadlineReturnsWithinCheckpointInterval) {
   // strategies: at least one candidate must report the mid-solve skip.
   int deadline_skips = 0;
   bool mid_solve = false;
-  for (const CandidateOutcome& c : result.candidates) {
+  for (const StrategyOutcome& c : result.outcomes) {
     if (c.skip_reason == SkipReason::DeadlineExpired) {
       ++deadline_skips;
       if (c.detail.find("mid-") != std::string::npos) mid_solve = true;
-      EXPECT_NE(c.state, CandidateState::Failed);
+      EXPECT_NE(c.state, OutcomeState::Failed);
     }
   }
   EXPECT_GE(deadline_skips, 1);
@@ -209,26 +238,26 @@ TEST(BudgetGuard, AugmentedSourcesCutMidHeuristicIsSkippedNeverCertified) {
                                    platform->targets);
     const PortfolioOptions options;
     const Clock::time_point start = Clock::now();
-    const CandidateOutcome full = run_strategy(
+    const StrategyOutcome full = run_strategy(
         problem, StrategyId::AugmentedSources, options, BudgetGuard{});
     const std::chrono::duration<double, std::milli> full_ms =
         Clock::now() - start;
-    ASSERT_EQ(full.state, CandidateState::Certified) << file;
+    ASSERT_EQ(full.state, OutcomeState::Certified) << file;
 
     for (int step = 1; step < 20; ++step) {
       BudgetGuard guard;
       guard.deadline =
           Clock::now() + std::chrono::duration_cast<Clock::duration>(
                              full_ms * (step / 20.0));
-      const CandidateOutcome out = run_strategy(
+      const StrategyOutcome out = run_strategy(
           problem, StrategyId::AugmentedSources, options, guard);
       const std::string ctx =
           std::string(file) + " deadline at " + std::to_string(step) + "/20";
-      if (out.state == CandidateState::Certified) {
+      if (out.state == OutcomeState::Certified) {
         EXPECT_EQ(out.period, full.period) << ctx;
         continue;
       }
-      ASSERT_EQ(out.state, CandidateState::Skipped)
+      ASSERT_EQ(out.state, OutcomeState::Skipped)
           << ctx << ": " << out.detail;
       EXPECT_EQ(out.skip_reason, SkipReason::DeadlineExpired) << ctx;
       if (out.detail == "budget exhausted before start") continue;

@@ -1,5 +1,7 @@
 /// Engine-level behaviour: caching, batch coalescing, per-request budgets
 /// and thread-count agreement — the satellite determinism/caching coverage.
+/// Cache and coalescing identity across race settings is covered at the
+/// Service level (Service.CacheServesOnlyTheRaceItRan).
 
 #include "runtime/engine.hpp"
 
@@ -7,14 +9,15 @@
 
 #include "graph/rng.hpp"
 #include "pmcast/core.hpp"
+#include "test_requests.hpp"
 
 namespace pmcast::runtime {
 namespace {
 
 using core::MulticastProblem;
 
-EngineOptions with_threads(int threads, std::size_t cache_capacity = 1024) {
-  EngineOptions options;
+ServiceOptions with_threads(int threads, std::size_t cache_capacity = 1024) {
+  ServiceOptions options;
   options.threads = threads;
   options.cache_capacity = cache_capacity;
   return options;
@@ -45,11 +48,11 @@ MulticastProblem random_problem(std::uint64_t seed) {
 TEST(Engine, SameInstanceTwiceIsACacheHitWithIdenticalPeriod) {
   PortfolioEngine engine(with_threads(2));
   MulticastProblem p = random_problem(1);
-  PortfolioResult first = engine.solve(p);
+  PortfolioResult first = engine.solve(request_for(p));
   ASSERT_TRUE(first.ok);
   EXPECT_FALSE(first.from_cache);
 
-  PortfolioResult second = engine.solve(p);
+  PortfolioResult second = engine.solve(request_for(p));
   ASSERT_TRUE(second.ok);
   EXPECT_TRUE(second.from_cache);
   EXPECT_EQ(second.period, first.period);  // bit-identical
@@ -64,7 +67,7 @@ TEST(Engine, SameInstanceTwiceIsACacheHitWithIdenticalPeriod) {
 TEST(Engine, RebuiltInstanceHitsCacheThroughCanonicalHash) {
   PortfolioEngine engine(with_threads(1));
   MulticastProblem p = random_problem(2);
-  ASSERT_TRUE(engine.solve(p).ok);
+  ASSERT_TRUE(engine.solve(request_for(p)).ok);
 
   // Same instance, edges inserted in reverse order, targets shuffled.
   Digraph g(p.graph.node_count());
@@ -74,7 +77,7 @@ TEST(Engine, RebuiltInstanceHitsCacheThroughCanonicalHash) {
   }
   std::vector<NodeId> targets(p.targets.rbegin(), p.targets.rend());
   MulticastProblem rebuilt(g, p.source, targets);
-  PortfolioResult r = engine.solve(rebuilt);
+  PortfolioResult r = engine.solve(request_for(rebuilt));
   EXPECT_TRUE(r.from_cache);
 }
 
@@ -83,7 +86,7 @@ TEST(Engine, BatchCoalescesDuplicateInstances) {
   MulticastProblem a = random_problem(3);
   MulticastProblem b = random_problem(4);
   std::vector<MulticastProblem> batch{a, b, a, a, b};
-  auto results = engine.solve_batch(batch);
+  auto results = engine.solve_batch(requests_for(batch));
   ASSERT_EQ(results.size(), 5u);
   for (const auto& r : results) ASSERT_TRUE(r.ok);
 
@@ -106,10 +109,10 @@ TEST(Engine, ThreadCountsOneTwoEightAgree) {
   for (std::uint64_t s : {3ULL, 7ULL, 9ULL}) batch.push_back(random_problem(s));
 
   PortfolioEngine baseline(with_threads(0));  // inline reference
-  auto expected = baseline.solve_batch(batch);
+  auto expected = baseline.solve_batch(requests_for(batch));
   for (int threads : {1, 2, 8}) {
     PortfolioEngine engine(with_threads(threads));
-    auto results = engine.solve_batch(batch);
+    auto results = engine.solve_batch(requests_for(batch));
     ASSERT_EQ(results.size(), expected.size());
     for (size_t i = 0; i < results.size(); ++i) {
       EXPECT_EQ(results[i].ok, expected[i].ok)
@@ -120,13 +123,13 @@ TEST(Engine, ThreadCountsOneTwoEightAgree) {
           << threads << " threads, instance " << i;
       EXPECT_EQ(results[i].winner, expected[i].winner)
           << threads << " threads, instance " << i;
-      ASSERT_EQ(results[i].candidates.size(), expected[i].candidates.size());
-      for (size_t c = 0; c < results[i].candidates.size(); ++c) {
-        EXPECT_EQ(results[i].candidates[c].state,
-                  expected[i].candidates[c].state)
+      ASSERT_EQ(results[i].outcomes.size(), expected[i].outcomes.size());
+      for (size_t c = 0; c < results[i].outcomes.size(); ++c) {
+        EXPECT_EQ(results[i].outcomes[c].state,
+                  expected[i].outcomes[c].state)
             << threads << " threads, instance " << i << " candidate " << c;
-        EXPECT_EQ(results[i].candidates[c].period,
-                  expected[i].candidates[c].period)
+        EXPECT_EQ(results[i].outcomes[c].period,
+                  expected[i].outcomes[c].period)
             << threads << " threads, instance " << i << " candidate " << c;
       }
     }
@@ -135,38 +138,26 @@ TEST(Engine, ThreadCountsOneTwoEightAgree) {
 
 TEST(Engine, PerRequestDeadlineOnlyAffectsThatRequest) {
   PortfolioEngine engine(with_threads(2));
-  std::vector<MulticastProblem> batch{random_problem(20), random_problem(21)};
-  std::vector<RequestOptions> requests(2);
-  requests[0].budget.deadline_ms = 1e-6;  // already expired at batch entry
-  auto results = engine.solve_batch(batch, requests);
+  std::vector<SolveRequest> requests =
+      requests_for({random_problem(20), random_problem(21)});
+  requests[0].deadline_ms = 1e-6;  // already expired at batch entry
+  const MulticastProblem starved = requests[0].problem;
+  auto results = engine.solve_batch(std::move(requests));
   EXPECT_FALSE(results[0].ok);
   EXPECT_TRUE(results[1].ok);
   // The starved result must not poison the cache: retrying without the
   // deadline has to actually solve (a miss, then certified).
-  PortfolioResult retry = engine.solve(batch[0]);
+  PortfolioResult retry = engine.solve(request_for(starved));
   EXPECT_TRUE(retry.ok);
   EXPECT_FALSE(retry.from_cache);
 }
 
-TEST(Engine, ShorterRequestSpanFallsBackToDefaults) {
-  PortfolioEngine engine(with_threads(2));
-  std::vector<MulticastProblem> batch{random_problem(40), random_problem(41),
-                                      random_problem(42)};
-  std::vector<RequestOptions> requests(1);  // covers only the first request
-  requests[0].budget.deadline_ms = 1e-6;
-  auto results = engine.solve_batch(batch, requests);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_FALSE(results[0].ok);  // starved by its own deadline
-  EXPECT_TRUE(results[1].ok);   // default (unlimited) budget
-  EXPECT_TRUE(results[2].ok);
-}
-
 TEST(Engine, CancellationStopsOneRequest) {
   PortfolioEngine engine(with_threads(1));
-  std::vector<MulticastProblem> batch{random_problem(22), random_problem(23)};
-  std::vector<RequestOptions> requests(2);
+  std::vector<SolveRequest> requests =
+      requests_for({random_problem(22), random_problem(23)});
   requests[0].cancel.request_stop();
-  auto results = engine.solve_batch(batch, requests);
+  auto results = engine.solve_batch(std::move(requests));
   EXPECT_FALSE(results[0].ok);
   EXPECT_TRUE(results[1].ok);
 }
@@ -174,8 +165,8 @@ TEST(Engine, CancellationStopsOneRequest) {
 TEST(Engine, CacheDisabledStillSolves) {
   PortfolioEngine engine(with_threads(1, /*cache_capacity=*/0));
   MulticastProblem p = random_problem(30);
-  EXPECT_TRUE(engine.solve(p).ok);
-  PortfolioResult again = engine.solve(p);
+  EXPECT_TRUE(engine.solve(request_for(p)).ok);
+  PortfolioResult again = engine.solve(request_for(p));
   EXPECT_TRUE(again.ok);
   EXPECT_FALSE(again.from_cache);
 }

@@ -10,6 +10,7 @@
 #include "graph/rng.hpp"
 #include "pmcast/core.hpp"
 #include "runtime/engine.hpp"
+#include "test_requests.hpp"
 
 namespace pmcast::runtime {
 namespace {
@@ -40,17 +41,14 @@ MulticastProblem random_problem(std::uint64_t seed) {
   }
 }
 
-/// Race \p p on an inline, uncached engine: every strategy runs on this
-/// thread, in launch order.
-PortfolioResult race(const MulticastProblem& p, PortfolioOptions portfolio = {},
-                     CancellationToken cancel = {}) {
-  EngineOptions options;
+/// Race \p p under \p request on an inline, uncached engine: every
+/// strategy runs on this thread, in launch order.
+PortfolioResult race(const MulticastProblem& p, SolveRequest request = {}) {
+  ServiceOptions options;
   options.threads = 0;
   options.cache_capacity = 0;
-  options.portfolio = std::move(portfolio);
-  RequestOptions request;
-  request.cancel = cancel;
-  return PortfolioEngine(std::move(options)).solve(p, request);
+  request.problem = p;
+  return PortfolioEngine(std::move(options)).solve(std::move(request));
 }
 
 class PortfolioProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -64,8 +62,8 @@ TEST_P(PortfolioProperty, WinnerCertifiedAndDominant) {
   // Never worse than any individual certified strategy (the acceptance
   // criterion): the winner *is* the min over them, check it explicitly.
   bool winner_seen = false;
-  for (const CandidateOutcome& c : r.candidates) {
-    if (c.state != CandidateState::Certified) continue;
+  for (const StrategyOutcome& c : r.outcomes) {
+    if (c.state != OutcomeState::Certified) continue;
     EXPECT_LE(r.period, c.period + kTol)
         << strategy_id_name(c.strategy) << " beats the winner, seed "
         << GetParam();
@@ -81,8 +79,8 @@ TEST_P(PortfolioProperty, WinnerCertifiedAndDominant) {
   core::FlowSolution lb = core::solve_multicast_lb(p);
   core::FlowSolution ub = core::solve_multicast_ub(p);
   ASSERT_TRUE(lb.ok() && ub.ok());
-  for (const CandidateOutcome& c : r.candidates) {
-    if (c.state == CandidateState::Certified) {
+  for (const StrategyOutcome& c : r.outcomes) {
+    if (c.state == OutcomeState::Certified) {
       EXPECT_GE(c.period, lb.period - kTol)
           << strategy_id_name(c.strategy) << " beats the LP lower bound, seed "
           << GetParam();
@@ -108,23 +106,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PortfolioProperty,
 
 TEST(Portfolio, PreCancelledTokenSkipsAllStrategies) {
   MulticastProblem p = random_problem(1);
-  CancellationToken cancel;
-  cancel.request_stop();
-  PortfolioResult r = race(p, {}, cancel);
+  SolveRequest request;
+  request.cancel.request_stop();
+  PortfolioResult r = race(p, request);
   EXPECT_FALSE(r.ok);
-  for (const CandidateOutcome& c : r.candidates) {
-    EXPECT_EQ(c.state, CandidateState::Skipped);
+  for (const StrategyOutcome& c : r.outcomes) {
+    EXPECT_EQ(c.state, OutcomeState::Skipped);
   }
 }
 
 TEST(Portfolio, ExpiredDeadlineSkipsAllStrategies) {
   MulticastProblem p = random_problem(2);
-  PortfolioOptions options;
-  options.budget.deadline_ms = 1e-6;  // expires before any strategy starts
-  PortfolioResult r = race(p, options);
+  SolveRequest request;
+  request.deadline_ms = 1e-6;  // expires before any strategy starts
+  PortfolioResult r = race(p, request);
   EXPECT_FALSE(r.ok);
-  for (const CandidateOutcome& c : r.candidates) {
-    EXPECT_EQ(c.state, CandidateState::Skipped);
+  for (const StrategyOutcome& c : r.outcomes) {
+    EXPECT_EQ(c.state, OutcomeState::Skipped);
   }
 }
 
@@ -134,46 +132,45 @@ TEST(Portfolio, InfeasibleInstanceFailsCleanly) {
   MulticastProblem p(g, 0, {1, 2});
   PortfolioResult r = race(p);
   EXPECT_FALSE(r.ok);
-  ASSERT_EQ(r.candidates.size(), all_strategy_ids().size());
-  for (const CandidateOutcome& c : r.candidates) {
-    EXPECT_EQ(c.state, CandidateState::Failed);
+  ASSERT_EQ(r.outcomes.size(), all_strategy_ids().size());
+  for (const StrategyOutcome& c : r.outcomes) {
+    EXPECT_EQ(c.state, OutcomeState::Failed);
     EXPECT_NE(c.detail.find("infeasible"), std::string::npos);
   }
 
   // Delivered without racing, to the coalesced duplicate too, and never
   // cached: a retry solves again.
-  EngineOptions cached;
+  ServiceOptions cached;
   cached.threads = 2;
   PortfolioEngine engine(cached);
-  std::vector<MulticastProblem> batch{p, p};
-  std::vector<PortfolioResult> results = engine.solve_batch(batch);
+  std::vector<PortfolioResult> results = engine.solve_batch(requests_for({p, p}));
   ASSERT_EQ(results.size(), 2u);
   EXPECT_FALSE(results[0].ok);
   EXPECT_FALSE(results[1].ok);
   EXPECT_TRUE(results[1].coalesced);
-  EXPECT_EQ(results[1].candidates.size(), r.candidates.size());
+  EXPECT_EQ(results[1].outcomes.size(), r.outcomes.size());
   EXPECT_EQ(engine.cache_stats().entries, 0u);
-  EXPECT_FALSE(engine.solve(p).from_cache);
+  EXPECT_FALSE(engine.solve(request_for(p)).from_cache);
 }
 
 TEST(Portfolio, StrategySubsetRuns) {
   MulticastProblem p = random_problem(4);
-  PortfolioOptions options;
-  options.strategies = {StrategyId::Mcph, StrategyId::MulticastUb};
-  PortfolioResult r = race(p, options);
+  SolveRequest request;
+  request.strategies = {StrategyId::Mcph, StrategyId::MulticastUb};
+  PortfolioResult r = race(p, request);
   ASSERT_TRUE(r.ok);
-  EXPECT_EQ(r.candidates.size(), 2u);
+  EXPECT_EQ(r.outcomes.size(), 2u);
 }
 
 TEST(Portfolio, ExactSkippedAboveNodeLimit) {
   MulticastProblem p = random_problem(5);
-  PortfolioOptions options;
-  options.strategies = {StrategyId::Exact};
-  options.budget.exact_max_nodes = p.graph.node_count() - 1;
-  PortfolioResult r = race(p, options);
+  SolveRequest request;
+  request.strategies = {StrategyId::Exact};
+  request.limits.exact_max_nodes = p.graph.node_count() - 1;
+  PortfolioResult r = race(p, request);
   EXPECT_FALSE(r.ok);
-  ASSERT_EQ(r.candidates.size(), 1u);
-  EXPECT_EQ(r.candidates[0].state, CandidateState::Skipped);
+  ASSERT_EQ(r.outcomes.size(), 1u);
+  EXPECT_EQ(r.outcomes[0].state, OutcomeState::Skipped);
 }
 
 }  // namespace

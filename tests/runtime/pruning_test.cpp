@@ -1,6 +1,6 @@
 /// Cooperative-pruning differential suite: Deterministic pruning is
 /// bit-identical to Off for winner/period/certificate across 1/2/8 engine
-/// threads (and candidate-identical across thread counts), and the
+/// threads (and outcome-identical across thread counts), and the
 /// Incumbent publish/observe protocol is clean under concurrency (this
 /// file runs in the TSan lane).
 
@@ -17,6 +17,7 @@
 #include "graph/rng.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/incumbent.hpp"
+#include "test_requests.hpp"
 
 #ifndef PMCAST_TEST_DATA_DIR
 #error "PMCAST_TEST_DATA_DIR must point at tests/data (set by CMake)"
@@ -67,11 +68,11 @@ core::MulticastProblem dense_instance(std::uint64_t seed) {
   }
 }
 
-EngineOptions engine_options(int threads, PruningPolicy policy) {
-  EngineOptions options;
+ServiceOptions engine_options(int threads, PruningPolicy policy) {
+  ServiceOptions options;
   options.threads = threads;
   options.cache_capacity = 0;  // differential runs must not share results
-  options.portfolio.pruning = policy;
+  options.pruning = policy;
   return options;
 }
 
@@ -80,9 +81,9 @@ EngineOptions engine_options(int threads, PruningPolicy policy) {
 PortfolioResult race_inline(const core::MulticastProblem& problem,
                             PruningPolicy policy,
                             double known_lower_bound = 0.0) {
-  RequestOptions request;
+  SolveRequest request = request_for(problem);
   request.known_lower_bound = known_lower_bound;
-  return PortfolioEngine(engine_options(0, policy)).solve(problem, request);
+  return PortfolioEngine(engine_options(0, policy)).solve(std::move(request));
 }
 
 // ---------------------------------------------------------------- Incumbent
@@ -185,7 +186,7 @@ TEST(PruningDifferential, DeterministicMatchesOffOnTheGoldenCorpus) {
   for (int threads : {1, 2, 8}) {
     PortfolioEngine engine(
         engine_options(threads, PruningPolicy::Deterministic));
-    std::vector<PortfolioResult> pruned = engine.solve_batch(corpus);
+    std::vector<PortfolioResult> pruned = engine.solve_batch(requests_for(corpus));
     ASSERT_EQ(pruned.size(), corpus.size());
     for (size_t i = 0; i < corpus.size(); ++i) {
       const PortfolioResult& off = blind[i];
@@ -199,12 +200,12 @@ TEST(PruningDifferential, DeterministicMatchesOffOnTheGoldenCorpus) {
           << "instance " << i << ", " << threads << " threads";
       // The winner's certificate (certification note and certified value)
       // must be untouched by pruning.
-      ASSERT_EQ(det.candidates.size(), off.candidates.size());
-      for (size_t c = 0; c < det.candidates.size(); ++c) {
-        if (off.candidates[c].strategy != off.winner) continue;
-        EXPECT_EQ(det.candidates[c].state, CandidateState::Certified);
-        EXPECT_EQ(det.candidates[c].period, off.candidates[c].period);
-        EXPECT_EQ(det.candidates[c].detail, off.candidates[c].detail);
+      ASSERT_EQ(det.outcomes.size(), off.outcomes.size());
+      for (size_t c = 0; c < det.outcomes.size(); ++c) {
+        if (off.outcomes[c].strategy != off.winner) continue;
+        EXPECT_EQ(det.outcomes[c].state, OutcomeState::Certified);
+        EXPECT_EQ(det.outcomes[c].period, off.outcomes[c].period);
+        EXPECT_EQ(det.outcomes[c].detail, off.outcomes[c].detail);
       }
     }
   }
@@ -216,7 +217,7 @@ TEST(PruningDifferential, DeterministicCandidatesIdenticalAcrossThreads) {
   for (int threads : {1, 2, 8}) {
     PortfolioEngine engine(
         engine_options(threads, PruningPolicy::Deterministic));
-    runs.push_back(engine.solve_batch(corpus));
+    runs.push_back(engine.solve_batch(requests_for(corpus)));
   }
   const auto& reference = runs[0];
   for (size_t run = 1; run < runs.size(); ++run) {
@@ -225,19 +226,19 @@ TEST(PruningDifferential, DeterministicCandidatesIdenticalAcrossThreads) {
       const PortfolioResult& b = runs[run][i];
       EXPECT_EQ(a.period, b.period) << "instance " << i;
       EXPECT_EQ(a.winner, b.winner) << "instance " << i;
-      ASSERT_EQ(a.candidates.size(), b.candidates.size());
-      for (size_t c = 0; c < a.candidates.size(); ++c) {
+      ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+      for (size_t c = 0; c < a.outcomes.size(); ++c) {
         // Candidate-level bit-identity, including which ones were pruned
         // and why: Deterministic decisions read barrier-fenced snapshots
         // only, so thread count must not matter.
-        EXPECT_EQ(a.candidates[c].state, b.candidates[c].state)
+        EXPECT_EQ(a.outcomes[c].state, b.outcomes[c].state)
             << "instance " << i << " candidate " << c;
-        EXPECT_EQ(a.candidates[c].skip_reason, b.candidates[c].skip_reason)
+        EXPECT_EQ(a.outcomes[c].skip_reason, b.outcomes[c].skip_reason)
             << "instance " << i << " candidate " << c;
-        EXPECT_EQ(a.candidates[c].period, b.candidates[c].period)
+        EXPECT_EQ(a.outcomes[c].period, b.outcomes[c].period)
             << "instance " << i << " candidate " << c;
-        EXPECT_EQ(a.candidates[c].prune.probes_skipped,
-                  b.candidates[c].prune.probes_skipped)
+        EXPECT_EQ(a.outcomes[c].prune.probes_skipped,
+                  b.outcomes[c].prune.probes_skipped)
             << "instance " << i << " candidate " << c;
       }
       EXPECT_EQ(a.pruning.strategies_pruned, b.pruning.strategies_pruned)
@@ -267,10 +268,10 @@ TEST(Pruning, ScatterDominanceSkipsThePlatformHeuristics) {
   EXPECT_EQ(pruned.winner, blind.winner);
   EXPECT_GT(pruned.pruning.strategies_pruned, 0);
   bool saw_dominated_platform = false;
-  for (const CandidateOutcome& c : pruned.candidates) {
+  for (const StrategyOutcome& c : pruned.outcomes) {
     if ((c.strategy == StrategyId::ReducedBroadcast ||
          c.strategy == StrategyId::AugmentedMulticast) &&
-        c.state == CandidateState::Skipped &&
+        c.state == OutcomeState::Pruned &&
         c.skip_reason == SkipReason::Dominated) {
       saw_dominated_platform = true;
     }
@@ -278,10 +279,10 @@ TEST(Pruning, ScatterDominanceSkipsThePlatformHeuristics) {
   EXPECT_TRUE(saw_dominated_platform);
   // The blind run proves the cut sound on this instance: both platform
   // heuristics certified strictly worse than the winner.
-  for (const CandidateOutcome& c : blind.candidates) {
+  for (const StrategyOutcome& c : blind.outcomes) {
     if (c.strategy == StrategyId::ReducedBroadcast ||
         c.strategy == StrategyId::AugmentedMulticast) {
-      ASSERT_EQ(c.state, CandidateState::Certified);
+      ASSERT_EQ(c.state, OutcomeState::Certified);
       EXPECT_GT(c.period, blind.period);
     }
   }
@@ -306,9 +307,9 @@ TEST(Pruning, EarlyWinStopsTheRaceOnAStar) {
   EXPECT_DOUBLE_EQ(result.period, 3.0);
   EXPECT_EQ(result.winner, StrategyId::Mcph);
   EXPECT_GT(result.pruning.early_win_cancels, 0);
-  for (const CandidateOutcome& c : result.candidates) {
+  for (const StrategyOutcome& c : result.outcomes) {
     if (strategy_stage(c.strategy) > 0) {
-      EXPECT_EQ(c.state, CandidateState::Skipped)
+      EXPECT_EQ(c.state, OutcomeState::Pruned)
           << strategy_id_name(c.strategy);
       EXPECT_EQ(c.skip_reason, SkipReason::EarlyWin)
           << strategy_id_name(c.strategy);
@@ -368,9 +369,9 @@ TEST(Pruning, DominatedHeuristicsSkipTheirRemainingProbes) {
     // Abandoning probes mid-sequence keeps the partial result (it may even
     // win, when the skip came from LB convergence) — it must never turn a
     // strategy into a Failed outcome.
-    for (const CandidateOutcome& c : pruned.candidates) {
+    for (const StrategyOutcome& c : pruned.outcomes) {
       if (c.prune.probes_skipped > 0) {
-        EXPECT_NE(c.state, CandidateState::Failed)
+        EXPECT_NE(c.state, OutcomeState::Failed)
             << strategy_id_name(c.strategy);
       }
     }
@@ -389,9 +390,9 @@ TEST(Pruning, KnownLowerBoundRidesTheRequestThroughTheEngine) {
   // back as a proven bound must keep the answer identical (early-win may
   // prune the tail, never the winner).
   PortfolioEngine engine(engine_options(2, PruningPolicy::Deterministic));
-  RequestOptions request;
+  SolveRequest request = request_for(problem);
   request.known_lower_bound = blind.period;
-  PortfolioResult result = engine.solve(problem, request);
+  PortfolioResult result = engine.solve(std::move(request));
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.period, blind.period);
   EXPECT_GE(result.pruning.proven_lower_bound, blind.period);

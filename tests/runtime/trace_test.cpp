@@ -20,6 +20,7 @@
 #include "runtime/engine.hpp"
 #include "runtime/trace.hpp"
 #include "scenario/generator.hpp"
+#include "test_requests.hpp"
 
 // ------------------------------------------------------- allocation counter --
 // Process-wide operator new/delete replacements that count every heap
@@ -78,12 +79,11 @@ core::MulticastProblem diamond_problem() {
 
 /// Race the diamond on an inline, uncached engine: every strategy runs on
 /// this thread, in launch order.
-PortfolioResult race_inline(const PortfolioOptions& portfolio) {
-  EngineOptions options;
+PortfolioResult race_inline(ServiceOptions options) {
   options.threads = 0;
   options.cache_capacity = 0;
-  options.portfolio = portfolio;
-  return PortfolioEngine(std::move(options)).solve(diamond_problem());
+  return PortfolioEngine(std::move(options))
+      .solve(request_for(diamond_problem()));
 }
 
 bool is_terminal(TraceEventKind kind) {
@@ -95,7 +95,7 @@ bool is_terminal(TraceEventKind kind) {
 // ------------------------------------------------- single-thread timeline --
 
 TEST(Trace, SingleThreadTimelineIsAnOrderedLaunchToTerminalStory) {
-  PortfolioOptions options;
+  ServiceOptions options;
   options.trace = TraceDetail::Timeline;
   // No workers: every strategy runs inline on this thread, so the timeline
   // must be one thread id and strictly ordered.
@@ -115,7 +115,7 @@ TEST(Trace, SingleThreadTimelineIsAnOrderedLaunchToTerminalStory) {
     last_t = e.t_us;
     slots_seen.insert(e.slot);
   }
-  EXPECT_EQ(slots_seen.size(), result.candidates.size());
+  EXPECT_EQ(slots_seen.size(), result.outcomes.size());
 
   // Per slot: Launch first, exactly one terminal event, terminal last.
   for (int slot : slots_seen) {

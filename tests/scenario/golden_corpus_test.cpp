@@ -13,6 +13,7 @@
 #include "graph/io.hpp"
 #include "runtime/runtime.hpp"
 #include "scenario/oracle.hpp"
+#include "test_requests.hpp"
 
 #ifndef PMCAST_TEST_DATA_DIR
 #error "PMCAST_TEST_DATA_DIR must point at tests/data (set by CMake)"
@@ -59,13 +60,13 @@ TEST(GoldenCorpus, ManifestCoversTenInstances) {
 }
 
 TEST(GoldenCorpus, BestCertifiedPeriodsMatchManifest) {
-  runtime::EngineOptions options;
+  ServiceOptions options;
   options.threads = 0;  // inline, in launch order
   options.cache_capacity = 0;
   runtime::PortfolioEngine engine(options);
   for (const GoldenEntry& entry : load_manifest()) {
-    core::MulticastProblem problem = load_problem(entry.file);
-    runtime::PortfolioResult result = engine.solve(problem);
+    runtime::PortfolioResult result =
+        engine.solve(request_for(load_problem(entry.file)));
     ASSERT_TRUE(result.ok) << entry.file;
     // Relative tolerance absorbs LP numerics / rationalisation wobble
     // across compilers; any real regression is percent-scale.

@@ -11,30 +11,28 @@
 
 #include "runtime/engine.hpp"
 #include "scenario/generator.hpp"
+#include "test_requests.hpp"
 
 namespace pmcast::scenario {
 namespace {
-
-using runtime::CandidateState;
 
 /// Tree heuristics + scatter bound + exact: everything needed for the
 /// LB <= exact <= tree-heuristic ordering, at milliseconds per instance.
 OracleOptions cheap_options() {
   OracleOptions options;
-  options.portfolio.strategies = {
+  options.service.strategies = {
       StrategyId::Mcph, StrategyId::PrunedDijkstra, StrategyId::Kmb,
       StrategyId::MulticastUb, StrategyId::Exact};
   return options;
 }
 
-/// Race \p portfolio on an inline, uncached engine.
+/// Race \p problem under \p service on an inline, uncached engine.
 runtime::PortfolioResult race(const core::MulticastProblem& problem,
-                              const runtime::PortfolioOptions& portfolio) {
-  runtime::EngineOptions options;
-  options.threads = 0;
-  options.cache_capacity = 0;
-  options.portfolio = portfolio;
-  return runtime::PortfolioEngine(std::move(options)).solve(problem);
+                              ServiceOptions service) {
+  service.threads = 0;
+  service.cache_capacity = 0;
+  return runtime::PortfolioEngine(std::move(service))
+      .solve(request_for(problem));
 }
 
 TEST(OracleSuite, TwoHundredInstancesAcrossAllFamiliesCheapSet) {
@@ -94,7 +92,7 @@ TEST(Oracle, AcceptsPrecomputedPortfolioResult) {
   ScenarioInstance instance = generate_scenario(spec);
 
   OracleOptions options = cheap_options();
-  runtime::PortfolioResult result = race(instance.problem, options.portfolio);
+  runtime::PortfolioResult result = race(instance.problem, options.service);
   OracleReport from_result = cross_check(instance.problem, result, options);
   OracleReport from_problem = cross_check(instance.problem, options);
   EXPECT_TRUE(from_result.ok);
@@ -120,11 +118,11 @@ TEST(Oracle, FlagsFabricatedSubLowerBoundPeriod) {
   ScenarioInstance instance = generate_scenario(spec);
 
   OracleOptions options = cheap_options();
-  runtime::PortfolioResult result = race(instance.problem, options.portfolio);
+  runtime::PortfolioResult result = race(instance.problem, options.service);
   ASSERT_TRUE(result.ok);
   // Tamper with a certified candidate: claim an impossible period.
-  for (auto& c : result.candidates) {
-    if (c.state == CandidateState::Certified) {
+  for (auto& c : result.outcomes) {
+    if (c.state == OutcomeState::Certified) {
       c.period = 1e-3;
       break;
     }
@@ -146,10 +144,10 @@ TEST(Oracle, FailedStrategiesAreViolationsUnlessAllowed) {
   ScenarioInstance instance = generate_scenario(spec);
 
   OracleOptions options = cheap_options();
-  runtime::PortfolioResult result = race(instance.problem, options.portfolio);
+  runtime::PortfolioResult result = race(instance.problem, options.service);
   ASSERT_TRUE(result.ok);
-  result.candidates[0].state = CandidateState::Failed;
-  result.candidates[0].detail = "injected failure";
+  result.outcomes[0].state = OutcomeState::Failed;
+  result.outcomes[0].detail = "injected failure";
 
   OracleReport strict = cross_check(instance.problem, result, options);
   EXPECT_FALSE(strict.ok);

@@ -6,11 +6,11 @@
 
 #include "runtime/runtime.hpp"
 #include "scenario/scenario.hpp"
+#include "test_requests.hpp"
 
 namespace pmcast::scenario {
 namespace {
 
-using runtime::EngineOptions;
 using runtime::PortfolioEngine;
 using runtime::PortfolioResult;
 
@@ -25,12 +25,12 @@ std::vector<core::MulticastProblem> mixed_batch() {
   return batch;
 }
 
-EngineOptions engine_options(int threads) {
-  EngineOptions options;
+ServiceOptions engine_options(int threads) {
+  ServiceOptions options;
   options.threads = threads;
   // Cheap-but-complete strategy set keeps the 3-way run fast while still
   // covering tree, flow and exact certification paths.
-  options.portfolio.strategies = {
+  options.strategies = {
       StrategyId::Mcph, StrategyId::PrunedDijkstra, StrategyId::Kmb,
       StrategyId::MulticastUb, StrategyId::Exact};
   return options;
@@ -42,7 +42,7 @@ TEST(PortfolioScenarios, DeterministicAcrossThreadCounts) {
   std::vector<std::vector<PortfolioResult>> runs;
   for (int threads : {1, 2, 8}) {
     PortfolioEngine engine(engine_options(threads));
-    runs.push_back(engine.solve_batch(batch));
+    runs.push_back(engine.solve_batch(requests_for(batch)));
     ASSERT_EQ(runs.back().size(), batch.size()) << threads << " threads";
   }
 
@@ -54,11 +54,11 @@ TEST(PortfolioScenarios, DeterministicAcrossThreadCounts) {
       EXPECT_EQ(a.ok, b.ok) << "request " << i;
       EXPECT_DOUBLE_EQ(a.period, b.period) << "request " << i;
       EXPECT_EQ(a.winner, b.winner) << "request " << i;
-      ASSERT_EQ(a.candidates.size(), b.candidates.size());
-      for (size_t c = 0; c < a.candidates.size(); ++c) {
-        EXPECT_EQ(a.candidates[c].state, b.candidates[c].state)
+      ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+      for (size_t c = 0; c < a.outcomes.size(); ++c) {
+        EXPECT_EQ(a.outcomes[c].state, b.outcomes[c].state)
             << "request " << i << " candidate " << c;
-        EXPECT_DOUBLE_EQ(a.candidates[c].period, b.candidates[c].period)
+        EXPECT_DOUBLE_EQ(a.outcomes[c].period, b.outcomes[c].period)
             << "request " << i << " candidate " << c;
       }
     }
@@ -68,10 +68,10 @@ TEST(PortfolioScenarios, DeterministicAcrossThreadCounts) {
 TEST(PortfolioScenarios, BatchResultsAreOracleClean) {
   std::vector<core::MulticastProblem> batch = mixed_batch();
   PortfolioEngine engine(engine_options(2));
-  std::vector<PortfolioResult> results = engine.solve_batch(batch);
+  std::vector<PortfolioResult> results = engine.solve_batch(requests_for(batch));
 
   OracleOptions options;
-  options.portfolio = engine_options(2).portfolio;
+  options.service = engine_options(2);
   for (size_t i = 0; i < batch.size(); ++i) {
     OracleReport report = cross_check(batch[i], results[i], options);
     EXPECT_TRUE(report.ok) << "request " << i << ": " << report.summary();
@@ -81,7 +81,7 @@ TEST(PortfolioScenarios, BatchResultsAreOracleClean) {
 TEST(PortfolioScenarios, DuplicatesCoalesceToIdenticalAnswers) {
   std::vector<core::MulticastProblem> batch = mixed_batch();
   PortfolioEngine engine(engine_options(2));
-  std::vector<PortfolioResult> results = engine.solve_batch(batch);
+  std::vector<PortfolioResult> results = engine.solve_batch(requests_for(batch));
 
   size_t n = results.size();
   // The two appended duplicates mirror requests 0 and 3.
@@ -94,8 +94,8 @@ TEST(PortfolioScenarios, DuplicatesCoalesceToIdenticalAnswers) {
 TEST(PortfolioScenarios, WarmCacheServesIdenticalPeriods) {
   std::vector<core::MulticastProblem> batch = mixed_batch();
   PortfolioEngine engine(engine_options(2));
-  std::vector<PortfolioResult> cold = engine.solve_batch(batch);
-  std::vector<PortfolioResult> warm = engine.solve_batch(batch);
+  std::vector<PortfolioResult> cold = engine.solve_batch(requests_for(batch));
+  std::vector<PortfolioResult> warm = engine.solve_batch(requests_for(batch));
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_TRUE(warm[i].from_cache) << i;
     EXPECT_DOUBLE_EQ(warm[i].period, cold[i].period) << i;
