@@ -820,7 +820,7 @@ int main(int argc, char** argv) {
     runtime::ResultCache unsharded(4096, 1);
     cache_unsharded_ms = hammer_cache(unsharded, kThreads, kCacheOps);
     runtime::ResultCache sharded(4096);  // auto: scales with the machine
-    cache_auto_shards = sharded.stats().shards;
+    cache_auto_shards = sharded.shard_count();
     cache_sharded_ms = hammer_cache(sharded, kThreads, kCacheOps);
   }
   double cache_speedup = cache_sharded_ms > 0.0

@@ -342,10 +342,7 @@ std::string json_escape_free_summary(const Config& cfg,
                                      std::uint32_t cache_shards,
                                      std::uint64_t protocol_errors,
                                      bool drained_clean) {
-  std::uint64_t total_shed = server_stats.shed_qps +
-                             server_stats.shed_in_flight +
-                             server_stats.shed_deadline +
-                             server_stats.shed_shutdown;
+  const std::uint64_t total_shed = server_stats.total_shed();
   char buf[4096];
   std::snprintf(
       buf, sizeof(buf),
@@ -467,7 +464,7 @@ int main(int argc, char** argv) {
   // Snapshot the wire-visible cache counters before drain kills the
   // connection (the daemon's cache provenance is part of the report).
   net::Client stats_client = connect_or_die(shared, 0);
-  Result<net::ServerWireStats> wire_stats = stats_client.stats();
+  Result<net::ServerStats> wire_stats = stats_client.stats();
   std::uint64_t cache_hits = 0, cache_misses = 0;
   double cache_hit_rate = 0.0;
   std::uint32_t cache_shards = 0;
@@ -511,10 +508,7 @@ int main(int argc, char** argv) {
                          static_cast<double>(total.steady_latency_ms.size()) /
                          steady_ms
                    : 0.0;
-  std::uint64_t total_shed = server_stats.shed_qps +
-                             server_stats.shed_in_flight +
-                             server_stats.shed_deadline +
-                             server_stats.shed_shutdown;
+  const std::uint64_t total_shed = server_stats.total_shed();
 
   std::printf("\nsteady    %.0f qps sustained, latency p50 %.2f / p99 %.2f "
               "/ p999 %.2f ms (max %.2f)\n",

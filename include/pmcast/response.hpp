@@ -10,6 +10,7 @@
 ///
 /// This header is self-contained apart from pmcast/strategy.hpp.
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -186,8 +187,16 @@ struct TraceTimelineEvent {
   double value = 0.0;
 };
 
+/// Buckets of SolveTrace::checkpoint_hist: bucket 0 counts gaps below 1us,
+/// bucket i (i >= 1) counts gaps in [2^(i-1), 2^i) us, and the last bucket
+/// absorbs everything from 2^(kCheckpointBuckets-2) us (~16ms) up.
+inline constexpr int kCheckpointBuckets = 16;
+
 /// What the tracing/profiling layer recorded for this solve (see
-/// ServiceOptions::trace; detail == Off means everything here is empty).
+/// ServiceOptions::trace; detail == Off means every counter is zero and
+/// the timeline empty). The runtime's tracer records straight into this
+/// type, and only the timeline allocates, so a Counters-level trace is
+/// heap-free to produce and to copy.
 /// Cache hits return the trace of the originating solve — check
 /// Provenance::from_cache before attributing its cost to this request.
 struct SolveTrace {
@@ -200,10 +209,10 @@ struct SolveTrace {
                                       ///< polls of the LP heuristics
   CutPredicateTrace reconstruct_skip; ///< multicast_ub reconstruction skip
 
-  /// LP checkpoint latency histogram: bucket 0 counts gaps below 1us,
-  /// bucket i counts gaps in [2^(i-1), 2^i) us, the last bucket absorbs
-  /// the tail. Empty when detail == Off.
-  std::vector<std::uint64_t> checkpoint_hist;
+  /// LP checkpoint latency histogram (see kCheckpointBuckets): the gaps
+  /// between two consecutive budget checkpoints of one LP solve. All zero
+  /// when detail == Off.
+  std::array<std::uint64_t, kCheckpointBuckets> checkpoint_hist{};
   std::uint64_t checkpoint_polls = 0;
   double checkpoint_total_us = 0.0;
   double checkpoint_max_us = 0.0;

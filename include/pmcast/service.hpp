@@ -78,7 +78,8 @@ struct ServiceOptions {
   TraceDetail trace = TraceDetail::Counters;
 };
 
-/// Cumulative result-cache counters (mirror of the runtime's CacheStats).
+/// Cumulative result-cache counters, summed over the cache's shards, plus
+/// each shard's own counters.
 struct CacheMetrics {
   std::size_t hits = 0;
   std::size_t misses = 0;

@@ -11,10 +11,10 @@
 /// top-level CMakeLists.txt; the install-tree test compares them.
 
 // clang-format off
-#define PMCAST_API_VERSION_MAJOR 2
-#define PMCAST_API_VERSION_MINOR 1
+#define PMCAST_API_VERSION_MAJOR 3
+#define PMCAST_API_VERSION_MINOR 0
 #define PMCAST_API_VERSION_PATCH 0
-#define PMCAST_API_VERSION "2.1.0"
+#define PMCAST_API_VERSION "3.0.0"
 // clang-format on
 
 namespace pmcast {
@@ -23,7 +23,7 @@ inline constexpr int kApiVersionMajor = PMCAST_API_VERSION_MAJOR;
 inline constexpr int kApiVersionMinor = PMCAST_API_VERSION_MINOR;
 inline constexpr int kApiVersionPatch = PMCAST_API_VERSION_PATCH;
 
-/// "MAJOR.MINOR.PATCH", e.g. "2.0.0".
+/// "MAJOR.MINOR.PATCH", e.g. "3.0.0".
 inline const char* api_version() { return PMCAST_API_VERSION; }
 
 }  // namespace pmcast

@@ -22,43 +22,6 @@
 namespace pmcast {
 namespace {
 
-/// Flatten a runtime trace summary into the public SolveTrace. Cheap for
-/// the Off/Counters common cases (the histogram copy is 16 integers).
-SolveTrace to_public(const runtime::TraceSummary& trace) {
-  SolveTrace out;
-  out.detail = trace.detail;
-  if (trace.detail == TraceDetail::Off) return out;
-  auto predicate = [&](runtime::CutPredicate p) {
-    CutPredicateTrace t;
-    const runtime::PredicateTrace& src = trace.predicate(p);
-    t.evaluated = src.evaluated;
-    t.hits = src.hits;
-    t.closest_miss = src.closest_miss;
-    return t;
-  };
-  out.sub_scatter = predicate(runtime::CutPredicate::SubScatter);
-  out.early_win = predicate(runtime::CutPredicate::EarlyWin);
-  out.probe_poll = predicate(runtime::CutPredicate::ProbePoll);
-  out.reconstruct_skip = predicate(runtime::CutPredicate::ReconstructSkip);
-  out.checkpoint_hist.assign(trace.checkpoint_hist.begin(),
-                             trace.checkpoint_hist.end());
-  out.checkpoint_polls = trace.checkpoint_polls;
-  out.checkpoint_total_us = trace.checkpoint_total_us;
-  out.checkpoint_max_us = trace.checkpoint_max_us;
-  out.timeline.reserve(trace.timeline.size());
-  for (const runtime::TraceEvent& e : trace.timeline) {
-    TraceTimelineEvent event;
-    event.kind = e.kind;
-    event.strategy = static_cast<StrategyId>(e.strategy);
-    event.slot = e.slot;
-    event.thread = e.thread;
-    event.t_us = e.t_us;
-    event.value = e.value;
-    out.timeline.push_back(event);
-  }
-  return out;
-}
-
 using FacadeClock = std::chrono::steady_clock;
 
 double ms_since(FacadeClock::time_point start) {
@@ -200,7 +163,7 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
     }
   }
   response.pruning = run.pruning;
-  response.trace = to_public(run.trace);
+  response.trace = run.trace;
   response.provenance.from_cache = run.from_cache;
   response.provenance.coalesced = run.coalesced;
   response.timing.solve_ms = run.from_cache ? 0.0 : run.elapsed_ms;
@@ -414,24 +377,11 @@ std::vector<Result<SolveResponse>> Service::solve_batch(
 }
 
 CacheMetrics Service::cache_metrics() const {
-  runtime::CacheStats stats = impl_->engine.cache_stats();
-  CacheMetrics metrics;
-  metrics.hits = stats.hits;
-  metrics.misses = stats.misses;
-  metrics.evictions = stats.evictions;
-  metrics.entries = stats.entries;
-  metrics.shards = stats.shards;
-  std::vector<runtime::CacheStats> shards = impl_->engine.cache_shard_stats();
-  metrics.shard_heat.reserve(shards.size());
-  for (const runtime::CacheStats& s : shards) {
-    metrics.shard_heat.push_back(
-        CacheMetrics::ShardHeat{s.hits, s.misses, s.evictions, s.entries});
-  }
-  return metrics;
+  return impl_->engine.cache_metrics();
 }
 
 SolveTrace Service::aggregate_trace() const {
-  return to_public(impl_->engine.trace_summary());
+  return impl_->engine.aggregate_trace();
 }
 
 void Service::clear_cache() { impl_->engine.clear_cache(); }

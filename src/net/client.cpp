@@ -470,7 +470,7 @@ Status Client::cancel(std::uint64_t request_id) {
   return send_all(encode_cancel(request_id, options_.tenant));
 }
 
-Result<ServerWireStats> Client::stats() {
+Result<ServerStats> Client::stats() {
   if (fd_ < 0) return Status(StatusCode::kUnavailable, "client not connected");
   const std::uint64_t id = next_request_id_++;
   Status sent = send_all(encode_stats_request(id));
@@ -488,7 +488,7 @@ Result<ServerWireStats> Client::stats() {
   return decode_stats_response(*frame);
 }
 
-Result<ServerWireTrace> Client::trace() {
+Result<ServerTrace> Client::trace() {
   if (fd_ < 0) return Status(StatusCode::kUnavailable, "client not connected");
   const std::uint64_t id = next_request_id_++;
   Status sent = send_all(encode_trace_request(id));

@@ -122,7 +122,7 @@ class Client {
   bool connected() const { return fd_ >= 0; }
 
   /// Solve one instance remotely. The request's cancellation token is
-  /// ignored (remote cancellation is cancel_last()); everything else —
+  /// ignored (remote cancellation is cancel()); everything else —
   /// deadline (incl. kNoDeadline), priority, strategy allowlist, limits,
   /// pruning override, known_lower_bound — travels on the wire.
   ///
@@ -134,17 +134,22 @@ class Client {
   /// errors are never retried (see RetryPolicy).
   Result<RemoteResponse> solve(const SolveRequest& request);
 
-  /// Fire-and-forget cancel for the most recent solve's request id — only
-  /// useful from another thread's Client or after a timeout, since solve()
-  /// itself blocks.
+  /// Fire-and-forget cancel of \p request_id, an id this Client sent. The
+  /// server matches a cancel only against requests in flight on the
+  /// connection it arrives on, so a cancel sent through another Client
+  /// (another connection) stops nothing. Since solve() blocks, the use is
+  /// after solve() gave up waiting (kDeadlineExceeded on the client's own
+  /// timeout): note next_request_id() before the solve, cancel that id, and
+  /// the server answers it with a kCancelled error frame that the next
+  /// round-trip discards as stale.
   Status cancel(std::uint64_t request_id);
 
   /// Fetch the daemon's counter snapshot.
-  Result<ServerWireStats> stats();
+  Result<ServerStats> stats();
 
   /// Fetch the daemon's cumulative profiling snapshot (aggregate trace
   /// counters + cache shard heat).
-  Result<ServerWireTrace> trace();
+  Result<ServerTrace> trace();
 
   /// The id solve() will stamp on its next request.
   std::uint64_t next_request_id() const { return next_request_id_; }

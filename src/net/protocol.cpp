@@ -603,7 +603,7 @@ std::vector<std::uint8_t> encode_stats_request(std::uint64_t request_id) {
   return finish_frame(MessageType::kStatsRequest, 0, 0, request_id, Writer{});
 }
 
-std::vector<std::uint8_t> encode_stats_response(const ServerWireStats& stats,
+std::vector<std::uint8_t> encode_stats_response(const ServerStats& stats,
                                                 std::uint64_t request_id) {
   Writer p;
   p.f64(stats.uptime_ms);
@@ -633,11 +633,11 @@ std::vector<std::uint8_t> encode_stats_response(const ServerWireStats& stats,
                       std::move(p));
 }
 
-Result<ServerWireStats> decode_stats_response(const Frame& frame) {
+Result<ServerStats> decode_stats_response(const Frame& frame) {
   if (frame.header.type != MessageType::kStatsResponse) {
     return malformed("not a stats_response frame");
   }
-  ServerWireStats out;
+  ServerStats out;
   Reader r{frame.payload};
   out.uptime_ms = r.f64();
   out.connections_accepted = r.u64();
@@ -677,45 +677,40 @@ std::vector<std::uint8_t> encode_trace_request(std::uint64_t request_id) {
 
 namespace {
 
-void put_predicate(Writer& w, const WirePredicateTrace& p) {
-  w.u64(p.evaluated);
-  w.u64(p.hits);
-  w.f64(p.closest_miss);
-}
+/// The predicates in wire order.
+constexpr CutPredicateTrace SolveTrace::*kWirePredicates[] = {
+    &SolveTrace::sub_scatter, &SolveTrace::early_win, &SolveTrace::probe_poll,
+    &SolveTrace::reconstruct_skip};
 
-WirePredicateTrace take_predicate(Reader& r) {
-  WirePredicateTrace p;
-  p.evaluated = r.u64();
-  p.hits = r.u64();
-  p.closest_miss = r.f64();
-  return p;
+/// Histogram buckets a trace of \p detail carries on the wire.
+std::uint32_t wire_buckets(TraceDetail detail) {
+  return detail == TraceDetail::Off ? 0u : kCheckpointBuckets;
 }
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_trace_response(const ServerWireTrace& trace,
+std::vector<std::uint8_t> encode_trace_response(const ServerTrace& server_trace,
                                                 std::uint64_t request_id) {
+  const SolveTrace& trace = server_trace.trace;
   Writer p;
-  p.u8(trace.detail);
-  put_predicate(p, trace.sub_scatter);
-  put_predicate(p, trace.early_win);
-  put_predicate(p, trace.probe_poll);
-  put_predicate(p, trace.reconstruct_skip);
-  p.u32(static_cast<std::uint32_t>(std::min<std::size_t>(
-      trace.checkpoint_hist.size(), kMaxTraceHistBuckets)));
-  std::size_t buckets = 0;
-  for (std::uint64_t b : trace.checkpoint_hist) {
-    if (buckets++ >= kMaxTraceHistBuckets) break;
-    p.u64(b);
+  p.u8(static_cast<std::uint8_t>(trace.detail));
+  for (CutPredicateTrace SolveTrace::*field : kWirePredicates) {
+    const CutPredicateTrace& predicate = trace.*field;
+    p.u64(predicate.evaluated);
+    p.u64(predicate.hits);
+    p.f64(predicate.closest_miss);
   }
+  const std::uint32_t buckets = wire_buckets(trace.detail);
+  p.u32(buckets);
+  for (std::uint32_t b = 0; b < buckets; ++b) p.u64(trace.checkpoint_hist[b]);
   p.u64(trace.checkpoint_polls);
   p.f64(trace.checkpoint_total_us);
   p.f64(trace.checkpoint_max_us);
-  p.u32(static_cast<std::uint32_t>(
-      std::min<std::size_t>(trace.shard_heat.size(), kMaxTraceShards)));
-  std::size_t shards = 0;
-  for (const WireShardHeat& s : trace.shard_heat) {
-    if (shards++ >= kMaxTraceShards) break;
+  const std::size_t shards =
+      std::min<std::size_t>(server_trace.shard_heat.size(), kMaxTraceShards);
+  p.u32(static_cast<std::uint32_t>(shards));
+  for (std::size_t i = 0; i < shards; ++i) {
+    const CacheMetrics::ShardHeat& s = server_trace.shard_heat[i];
     p.u64(s.hits);
     p.u64(s.misses);
     p.u64(s.evictions);
@@ -725,30 +720,38 @@ std::vector<std::uint8_t> encode_trace_response(const ServerWireTrace& trace,
                       std::move(p));
 }
 
-Result<ServerWireTrace> decode_trace_response(const Frame& frame) {
+Result<ServerTrace> decode_trace_response(const Frame& frame) {
   if (frame.header.type != MessageType::kTraceResponse) {
     return malformed("not a trace_response frame");
   }
-  ServerWireTrace out;
+  ServerTrace out;
+  SolveTrace& trace = out.trace;
   Reader r{frame.payload};
-  out.detail = r.u8();
-  out.sub_scatter = take_predicate(r);
-  out.early_win = take_predicate(r);
-  out.probe_poll = take_predicate(r);
-  out.reconstruct_skip = take_predicate(r);
+  const std::uint8_t detail = r.u8();
+  for (CutPredicateTrace SolveTrace::*field : kWirePredicates) {
+    CutPredicateTrace& predicate = trace.*field;
+    predicate.evaluated = r.u64();
+    predicate.hits = r.u64();
+    predicate.closest_miss = r.f64();
+  }
   const std::uint32_t n_buckets = r.u32();
   if (r.failed()) return malformed("truncated trace_response body");
-  if (n_buckets > kMaxTraceHistBuckets || !count_fits(r, n_buckets, 8)) {
+  if (detail > static_cast<std::uint8_t>(TraceDetail::Timeline)) {
+    return malformed("unknown trace detail " + std::to_string(detail));
+  }
+  trace.detail = static_cast<TraceDetail>(detail);
+  if (n_buckets != wire_buckets(trace.detail)) {
     return malformed("histogram bucket count " + std::to_string(n_buckets) +
-                     " does not fit the payload");
+                     " for a " + trace_detail_name(trace.detail) +
+                     " trace (expected " +
+                     std::to_string(wire_buckets(trace.detail)) + ")");
   }
-  out.checkpoint_hist.reserve(n_buckets);
-  for (std::uint32_t i = 0; i < n_buckets; ++i) {
-    out.checkpoint_hist.push_back(r.u64());
+  for (std::uint32_t b = 0; b < n_buckets; ++b) {
+    trace.checkpoint_hist[b] = r.u64();
   }
-  out.checkpoint_polls = r.u64();
-  out.checkpoint_total_us = r.f64();
-  out.checkpoint_max_us = r.f64();
+  trace.checkpoint_polls = r.u64();
+  trace.checkpoint_total_us = r.f64();
+  trace.checkpoint_max_us = r.f64();
   const std::uint32_t n_shards = r.u32();
   if (r.failed()) return malformed("truncated trace_response checkpoints");
   if (n_shards > kMaxTraceShards || !count_fits(r, n_shards, 32)) {
@@ -757,7 +760,7 @@ Result<ServerWireTrace> decode_trace_response(const Frame& frame) {
   }
   out.shard_heat.reserve(n_shards);
   for (std::uint32_t i = 0; i < n_shards; ++i) {
-    WireShardHeat s;
+    CacheMetrics::ShardHeat s;
     s.hits = r.u64();
     s.misses = r.u64();
     s.evictions = r.u64();

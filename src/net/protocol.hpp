@@ -49,6 +49,7 @@
 #include "pmcast/problem.hpp"
 #include "pmcast/request.hpp"
 #include "pmcast/response.hpp"
+#include "pmcast/service.hpp"
 #include "pmcast/status.hpp"
 
 namespace pmcast::net {
@@ -73,9 +74,9 @@ enum class MessageType : std::uint8_t {
   kError = 3,          ///< server -> client: request failed / was shed
   kCancel = 4,         ///< client -> server: cancel an in-flight request_id
   kStatsRequest = 5,   ///< client -> server: snapshot request (empty payload)
-  kStatsResponse = 6,  ///< server -> client: ServerWireStats
+  kStatsResponse = 6,  ///< server -> client: ServerStats
   kTraceRequest = 7,   ///< client -> server: profiling snapshot (empty payload)
-  kTraceResponse = 8,  ///< server -> client: ServerWireTrace
+  kTraceResponse = 8,  ///< server -> client: ServerTrace
 };
 
 inline const char* message_type_name(MessageType t) {
@@ -244,8 +245,9 @@ std::vector<std::uint8_t> encode_cancel(std::uint64_t request_id,
                                         std::uint32_t tenant);
 std::vector<std::uint8_t> encode_stats_request(std::uint64_t request_id = 0);
 
-/// Daemon counters as served to a kStatsRequest.
-struct ServerWireStats {
+/// The daemon's counter snapshot: what Server::stats() returns and what a
+/// kStatsRequest is answered with. The declaration order is the wire order.
+struct ServerStats {
   double uptime_ms = 0.0;
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_open = 0;
@@ -268,7 +270,7 @@ struct ServerWireStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_entries = 0;
-  double ewma_solve_ms = 0.0;
+  double ewma_solve_ms = 0.0;  ///< admission's solve-time estimate
 
   std::uint64_t total_shed() const {
     return shed_qps + shed_in_flight + shed_deadline + shed_shutdown;
@@ -281,64 +283,39 @@ struct ServerWireStats {
   }
 };
 
-std::vector<std::uint8_t> encode_stats_response(const ServerWireStats& stats,
+/// Stats payload: every ServerStats field in declaration order, at its own
+/// width (f64, u64 or u32): 176 bytes.
+std::vector<std::uint8_t> encode_stats_response(const ServerStats& stats,
                                                 std::uint64_t request_id = 0);
-Result<ServerWireStats> decode_stats_response(const Frame& frame);
+Result<ServerStats> decode_stats_response(const Frame& frame);
 
 // ------------------------------------------------------------------- trace --
 
 /// Trace request has an empty payload, like stats.
 std::vector<std::uint8_t> encode_trace_request(std::uint64_t request_id = 0);
 
-/// Hard caps on the variable-length trace sections. The histogram is 16
-/// buckets today; the cap leaves room to grow without a protocol bump.
-inline constexpr std::uint32_t kMaxTraceHistBuckets = 64;
+/// Hard cap on the shard-heat rows of a trace frame.
 inline constexpr std::uint32_t kMaxTraceShards = 1u << 10;
 
-/// One cut predicate's accounting as it travels on the wire (mirrors
-/// pmcast::CutPredicateTrace).
-struct WirePredicateTrace {
-  std::uint64_t evaluated = 0;
-  std::uint64_t hits = 0;
-  double closest_miss = 0.0;
-};
-
-/// Per-cache-shard heat counters (mirrors CacheMetrics::ShardHeat).
-struct WireShardHeat {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t entries = 0;
-};
-
 /// The daemon's cumulative profiling view as served to a kTraceRequest:
-/// the Service-wide aggregate SolveTrace (counters only — timelines stay
-/// on individual responses) plus the ResultCache per-shard heat map.
-struct ServerWireTrace {
-  /// Aggregate TraceDetail as u8 (max detail any merged solve ran at).
-  std::uint8_t detail = 0;
-  /// Fixed predicate order: sub_scatter, early_win, probe_poll,
-  /// reconstruct_skip — new predicates append.
-  WirePredicateTrace sub_scatter;
-  WirePredicateTrace early_win;
-  WirePredicateTrace probe_poll;
-  WirePredicateTrace reconstruct_skip;
-  std::vector<std::uint64_t> checkpoint_hist;
-  std::uint64_t checkpoint_polls = 0;
-  double checkpoint_total_us = 0.0;
-  double checkpoint_max_us = 0.0;
-  std::vector<WireShardHeat> shard_heat;
-
-  double checkpoint_mean_us() const {
-    return checkpoint_polls == 0
-               ? 0.0
-               : checkpoint_total_us / static_cast<double>(checkpoint_polls);
-  }
+/// the Service-wide aggregate trace (counters only — timelines stay on
+/// individual responses) plus the result cache's per-shard heat.
+struct ServerTrace {
+  SolveTrace trace;
+  std::vector<CacheMetrics::ShardHeat> shard_heat;
 };
 
-std::vector<std::uint8_t> encode_trace_response(const ServerWireTrace& trace,
+/// Trace payload: detail (u8); sub_scatter, early_win, probe_poll and
+/// reconstruct_skip, each as evaluated (u64), hits (u64), closest_miss
+/// (f64); a u32 bucket count and that many u64 buckets; checkpoint polls
+/// (u64), total and max gap (f64); a u32 shard count and, per shard,
+/// hits, misses, evictions and entries (u64). The bucket count is 0 for
+/// an Off trace and kCheckpointBuckets for every other detail; the
+/// decoder rejects any other count, and any detail above Timeline.
+/// The timeline is never sent.
+std::vector<std::uint8_t> encode_trace_response(const ServerTrace& trace,
                                                 std::uint64_t request_id = 0);
-Result<ServerWireTrace> decode_trace_response(const Frame& frame);
+Result<ServerTrace> decode_trace_response(const Frame& frame);
 
 // ------------------------------------------------- canonical problem body --
 // Exposed for the round-trip property tests; the request codec uses them.

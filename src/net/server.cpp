@@ -73,13 +73,6 @@ struct Server::Impl {
         .count();
   }
 
-  /// One in-flight remote request (event-loop state, for kCancel).
-  struct Pending {
-    SolveFuture future;
-    std::uint32_t tenant = 0;
-    bool brownout = false;
-  };
-
   struct Connection {
     int fd = -1;
     std::uint64_t id = 0;
@@ -92,7 +85,9 @@ struct Server::Impl {
     /// When the oldest buffered partial frame arrived; < 0 = no partial
     /// frame. Drives the slow-loris read timeout.
     double read_started_ms = -1.0;
-    std::unordered_map<std::uint64_t, Pending> pending;
+    /// In-flight requests by id: the token a kCancel (or the connection
+    /// closing, or a timed-out drain) stops.
+    std::unordered_map<std::uint64_t, CancelToken> pending;
 
     bool flushed() const { return out_offset >= out.size(); }
   };
@@ -154,6 +149,8 @@ struct Server::Impl {
   std::atomic<std::uint64_t> closed_backpressure{0};
   std::atomic<std::uint64_t> faults_injected{0};
   std::atomic<std::uint64_t> in_flight{0};
+  /// admission.ewma_solve_ms(), copied after each completion like in_flight.
+  std::atomic<double> ewma_solve_ms{0.0};
 
   // ---------------------------------------------------------------- faults --
 
@@ -402,16 +399,18 @@ struct Server::Impl {
         return;
       case MessageType::kCancel: {
         auto it = conn->pending.find(frame.header.request_id);
-        if (it != conn->pending.end()) it->second.future.cancel();
+        if (it != conn->pending.end()) it->second.request_stop();
         return;  // the cancelled solve still answers through its completion
       }
       case MessageType::kStatsRequest:
-        send_bytes(conn, encode_stats_response(wire_stats(),
-                                               frame.header.request_id));
+        send_bytes(conn,
+                   encode_stats_response(stats(), frame.header.request_id));
         return;
       case MessageType::kTraceRequest:
-        send_bytes(conn, encode_trace_response(wire_trace(),
-                                               frame.header.request_id));
+        send_bytes(conn, encode_trace_response(
+                             ServerTrace{service.aggregate_trace(),
+                                         service.cache_metrics().shard_heat},
+                             frame.header.request_id));
         return;
       case MessageType::kSolveResponse:
       case MessageType::kError:
@@ -507,7 +506,10 @@ struct Server::Impl {
         static_cast<std::uint64_t>(admission.global_in_flight()),
         std::memory_order_relaxed);
 
-    request.cancel = CancelToken();
+    // The request's own token: a kCancel for its id, its connection
+    // closing and a timed-out drain all stop it.
+    CancelToken cancel;
+    request.cancel = cancel;
     if (brownout) {
       // Degraded admission: override the strategy allowlist with the cheap
       // arms. The client asked for the full portfolio and gets an honest
@@ -517,7 +519,7 @@ struct Server::Impl {
     const std::uint64_t conn_id = conn->id;
     std::vector<SolveRequest> one;
     one.push_back(std::move(request));
-    SolveBatch batch = service.submit_batch(
+    service.submit_batch(
         std::move(one),
         [this, conn_id, request_id, tenant, brownout](
             std::size_t, const Result<SolveResponse>& result) {
@@ -549,8 +551,7 @@ struct Server::Impl {
         });
     // Cache hits complete inline above; the pending entry is still recorded
     // and will be settled by drain_completions() later this iteration.
-    conn->pending.emplace(request_id,
-                          Pending{batch.future(0), tenant, brownout});
+    conn->pending.emplace(request_id, cancel);
   }
 
   void drain_completions() {
@@ -565,6 +566,8 @@ struct Server::Impl {
       in_flight.store(
           static_cast<std::uint64_t>(admission.global_in_flight()),
           std::memory_order_relaxed);
+      ewma_solve_ms.store(admission.ewma_solve_ms(),
+                          std::memory_order_relaxed);
       auto it = connections.find(completion.conn_id);
       if (it == connections.end()) continue;  // peer left; accounting only
       Connection* conn = it->second.get();
@@ -699,7 +702,7 @@ struct Server::Impl {
   void close_connection(Connection* conn) {
     // In-flight work for a vanished peer is wasted: cancel it. The
     // completions still arrive and settle the admission accounting.
-    for (auto& [id, pending] : conn->pending) pending.future.cancel();
+    for (auto& [id, cancel] : conn->pending) cancel.request_stop();
     ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
     ::close(conn->fd);
     connections.erase(conn->id);
@@ -726,7 +729,7 @@ struct Server::Impl {
         // kCancelled error frame through the normal completion path.
         drain_cancelled_stragglers = true;
         for (auto& [id, conn] : connections) {
-          for (auto& [rid, pending] : conn->pending) pending.future.cancel();
+          for (auto& [rid, cancel] : conn->pending) cancel.request_stop();
         }
       }
       if (elapsed <= options.drain_timeout_ms + kDrainFlushGraceMs) {
@@ -758,8 +761,11 @@ struct Server::Impl {
 
   // ---------------------------------------------------------------- stats --
 
-  ServerWireStats wire_stats() {
-    ServerWireStats stats;
+  /// The one counter snapshot (Server::stats() and kStatsResponse). Reads
+  /// only atomics and thread-safe Service accessors, so any thread may
+  /// call it.
+  ServerStats stats() const {
+    ServerStats stats;
     stats.uptime_ms = now_ms();
     stats.connections_accepted =
         connections_accepted.load(std::memory_order_relaxed);
@@ -784,39 +790,13 @@ struct Server::Impl {
     stats.faults_injected = faults_injected.load(std::memory_order_relaxed);
     stats.in_flight = in_flight.load(std::memory_order_relaxed);
     stats.worker_threads = static_cast<std::uint32_t>(service.thread_count());
-    CacheMetrics cache = service.cache_metrics();
+    const CacheMetrics cache = service.cache_metrics();
     stats.cache_shards = static_cast<std::uint32_t>(cache.shards);
     stats.cache_hits = cache.hits;
     stats.cache_misses = cache.misses;
     stats.cache_entries = cache.entries;
-    stats.ewma_solve_ms = admission.ewma_solve_ms();
+    stats.ewma_solve_ms = ewma_solve_ms.load(std::memory_order_relaxed);
     return stats;
-  }
-
-  /// The daemon's cumulative profiling view: the Service's aggregate trace
-  /// plus the cache's per-shard heat map.
-  ServerWireTrace wire_trace() {
-    ServerWireTrace out;
-    const SolveTrace trace = service.aggregate_trace();
-    out.detail = static_cast<std::uint8_t>(trace.detail);
-    auto predicate = [](const CutPredicateTrace& p) {
-      return WirePredicateTrace{p.evaluated, p.hits, p.closest_miss};
-    };
-    out.sub_scatter = predicate(trace.sub_scatter);
-    out.early_win = predicate(trace.early_win);
-    out.probe_poll = predicate(trace.probe_poll);
-    out.reconstruct_skip = predicate(trace.reconstruct_skip);
-    out.checkpoint_hist = trace.checkpoint_hist;
-    out.checkpoint_polls = trace.checkpoint_polls;
-    out.checkpoint_total_us = trace.checkpoint_total_us;
-    out.checkpoint_max_us = trace.checkpoint_max_us;
-    CacheMetrics cache = service.cache_metrics();
-    out.shard_heat.reserve(cache.shard_heat.size());
-    for (const CacheMetrics::ShardHeat& s : cache.shard_heat) {
-      out.shard_heat.push_back(
-          WireShardHeat{s.hits, s.misses, s.evictions, s.entries});
-    }
-    return out;
   }
 };
 
@@ -840,35 +820,6 @@ bool Server::drained() const {
   return impl_->drained.load(std::memory_order_acquire);
 }
 
-ServerStats Server::stats() const {
-  const Impl& impl = *impl_;
-  ServerStats stats;
-  stats.connections_accepted =
-      impl.connections_accepted.load(std::memory_order_relaxed);
-  stats.connections_open =
-      impl.connections_open.load(std::memory_order_relaxed);
-  stats.requests_admitted =
-      impl.requests_admitted.load(std::memory_order_relaxed);
-  stats.brownout_admitted =
-      impl.brownout_admitted.load(std::memory_order_relaxed);
-  stats.responses_sent = impl.responses_sent.load(std::memory_order_relaxed);
-  stats.errors_sent = impl.errors_sent.load(std::memory_order_relaxed);
-  stats.shed_qps = impl.shed_qps.load(std::memory_order_relaxed);
-  stats.shed_in_flight = impl.shed_in_flight.load(std::memory_order_relaxed);
-  stats.shed_deadline = impl.shed_deadline.load(std::memory_order_relaxed);
-  stats.shed_shutdown = impl.shed_shutdown.load(std::memory_order_relaxed);
-  stats.protocol_errors =
-      impl.protocol_errors.load(std::memory_order_relaxed);
-  stats.closed_idle_timeout =
-      impl.closed_idle_timeout.load(std::memory_order_relaxed);
-  stats.closed_read_timeout =
-      impl.closed_read_timeout.load(std::memory_order_relaxed);
-  stats.closed_backpressure =
-      impl.closed_backpressure.load(std::memory_order_relaxed);
-  stats.faults_injected =
-      impl.faults_injected.load(std::memory_order_relaxed);
-  stats.in_flight = impl.in_flight.load(std::memory_order_relaxed);
-  return stats;
-}
+ServerStats Server::stats() const { return impl_->stats(); }
 
 }  // namespace pmcast::net

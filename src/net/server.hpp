@@ -33,6 +33,7 @@
 
 #include "net/admission.hpp"
 #include "net/faultpoint.hpp"
+#include "net/protocol.hpp"
 #include "pmcast/service.hpp"
 #include "pmcast/status.hpp"
 #include "pmcast/strategy.hpp"
@@ -91,26 +92,6 @@ struct ServerOptions {
   BrownoutOptions brownout;
 };
 
-/// Counter snapshot (also served remotely as a kStatsResponse).
-struct ServerStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_open = 0;
-  std::uint64_t requests_admitted = 0;
-  std::uint64_t brownout_admitted = 0;
-  std::uint64_t responses_sent = 0;
-  std::uint64_t errors_sent = 0;
-  std::uint64_t shed_qps = 0;
-  std::uint64_t shed_in_flight = 0;
-  std::uint64_t shed_deadline = 0;
-  std::uint64_t shed_shutdown = 0;
-  std::uint64_t protocol_errors = 0;
-  std::uint64_t closed_idle_timeout = 0;
-  std::uint64_t closed_read_timeout = 0;
-  std::uint64_t closed_backpressure = 0;
-  std::uint64_t faults_injected = 0;
-  std::uint64_t in_flight = 0;
-};
-
 class Server {
  public:
   explicit Server(ServerOptions options);
@@ -137,7 +118,8 @@ class Server {
   /// True once run() has finished draining.
   bool drained() const;
 
-  /// Counter snapshot; callable from any thread.
+  /// Counter snapshot (net/protocol.hpp), the same one a kStatsRequest is
+  /// answered with; callable from any thread.
   ServerStats stats() const;
 
  private:

@@ -39,10 +39,10 @@ std::optional<PortfolioResult> ResultCache::get(const InstanceKey& key) {
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    ++shard.stats.misses;
+    ++shard.heat.misses;
     return std::nullopt;
   }
-  ++shard.stats.hits;
+  ++shard.heat.hits;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // refresh
   PortfolioResult copy = it->second->result;
   copy.from_cache = true;
@@ -64,35 +64,26 @@ void ResultCache::put(const InstanceKey& key, const PortfolioResult& result) {
   if (shard.lru.size() >= shard.capacity) {
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();
-    ++shard.stats.evictions;
+    ++shard.heat.evictions;
   }
   shard.lru.push_front(Entry{key, result});
   shard.lru.front().result.from_cache = false;
   shard.index[key] = shard.lru.begin();
 }
 
-CacheStats ResultCache::stats() const {
-  CacheStats total;
-  total.shards = shards_.size();
+CacheMetrics ResultCache::metrics() const {
+  CacheMetrics out;
+  out.shards = shards_.size();
+  out.shard_heat.reserve(shards_.size());
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    total.hits += shard->stats.hits;
-    total.misses += shard->stats.misses;
-    total.evictions += shard->stats.evictions;
-    total.entries += shard->lru.size();
-  }
-  return total;
-}
-
-std::vector<CacheStats> ResultCache::shard_stats() const {
-  std::vector<CacheStats> out;
-  out.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    CacheStats s = shard->stats;
-    s.entries = shard->lru.size();
-    s.shards = shards_.size();
-    out.push_back(s);
+    CacheMetrics::ShardHeat heat = shard->heat;
+    heat.entries = shard->lru.size();
+    out.hits += heat.hits;
+    out.misses += heat.misses;
+    out.evictions += heat.evictions;
+    out.entries += heat.entries;
+    out.shard_heat.push_back(heat);
   }
   return out;
 }

@@ -12,7 +12,7 @@
 /// the pool is busiest (a batch of hot duplicates arriving together). The
 /// cache therefore splits into key-hashed shards, each with its own mutex
 /// and LRU list; aggregate capacity and the hit/miss/eviction accounting
-/// semantics are preserved (stats() sums the shards). Recency is per
+/// semantics are preserved (metrics() sums the shards). Recency is per
 /// shard — an entry can only evict entries of its own shard — which is the
 /// standard sharded-LRU approximation of global LRU. Small caches (below
 /// kShardThreshold entries) keep a single shard and exact global LRU.
@@ -26,25 +26,10 @@
 #include <vector>
 
 #include "graph/hash.hpp"
+#include "pmcast/service.hpp"
 #include "runtime/portfolio.hpp"
 
 namespace pmcast::runtime {
-
-struct CacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t evictions = 0;
-  std::size_t entries = 0;
-  /// The shard count this cache actually runs with (the auto-pick depends
-  /// on hardware_concurrency, so report it wherever stats land).
-  std::size_t shards = 1;
-
-  double hit_rate() const {
-    std::size_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) /
-                                  static_cast<double>(total);
-  }
-};
 
 class ResultCache {
  public:
@@ -59,7 +44,7 @@ class ResultCache {
   /// power of two >= hardware_concurrency, capped at kMaxAutoShards — so a
   /// 1-core box gets a single mutex (sharding there is pure overhead: the
   /// threads timeslice instead of contending) and a 16-way box gets 16
-  /// shards. The chosen count is reported via stats().shards.
+  /// shards. The chosen count is reported via shard_count().
   explicit ResultCache(std::size_t capacity, std::size_t shards = 0);
 
   /// Look up \p key; a hit refreshes recency and returns a copy with
@@ -72,12 +57,11 @@ class ResultCache {
   /// reasons should be retried, not remembered.
   void put(const InstanceKey& key, const PortfolioResult& result);
 
-  CacheStats stats() const;
-  /// Per-shard heat snapshot (index == shard id, each entry's `shards`
-  /// field holds the total shard count). The profiling view behind the
-  /// aggregate stats(): a skewed hit/entry distribution here is how a bad
-  /// shard hash or a too-small per-shard capacity shows up.
-  std::vector<CacheStats> shard_stats() const;
+  /// Totals plus per-shard heat (index == shard id), read in one pass with
+  /// each shard's lock held while it is read. A skewed hit/entry
+  /// distribution across shard_heat is how a bad shard hash or a too-small
+  /// per-shard capacity shows up.
+  CacheMetrics metrics() const;
   void clear();
 
   std::size_t shard_count() const { return shards_.size(); }
@@ -95,7 +79,8 @@ class ResultCache {
     std::size_t capacity = 0;
     std::list<Entry> lru;
     std::unordered_map<InstanceKey, std::list<Entry>::iterator> index;
-    CacheStats stats;
+    /// hits/misses/evictions; entries is read off `lru` by metrics().
+    CacheMetrics::ShardHeat heat;
   };
 
   Shard& shard_of(const InstanceKey& key) {

@@ -58,9 +58,10 @@ long long run_lb_probe(const core::MulticastProblem& problem,
                        Tracer* tracer) {
   core::FormulationOptions lp_options;
   // The LB probe has no strategy slot; it only feeds the checkpoint
-  // latency histogram (slot -1 records no timeline event).
+  // latency histogram (slot -1 records no timeline event, so the strategy
+  // is never read).
   lp_options.solver.checkpoint =
-      lp_checkpoint(guard, tracer, /*slot=*/-1, /*strategy=*/0xFF);
+      lp_checkpoint(guard, tracer, /*slot=*/-1, StrategyId{});
   core::FlowSolution lb = core::solve_multicast_lb(problem, lp_options);
   if (lb.ok()) {
     // Publish the LP value as reported. An earlier revision deflated it by
@@ -173,7 +174,7 @@ struct EngineBatchState {
   ResultCache* cache = nullptr;
   /// Engine-wide cumulative trace (both owned by the engine, which
   /// outlives every task of this batch).
-  TraceSummary* engine_trace = nullptr;
+  SolveTrace* engine_trace = nullptr;
   std::mutex* engine_trace_mutex = nullptr;
 
   /// Hand a group's result to the callback: leader first, then followers
@@ -194,7 +195,7 @@ struct EngineBatchState {
       result.trace = group.tracer->summary();
       if (engine_trace != nullptr) {
         std::lock_guard<std::mutex> lock(*engine_trace_mutex);
-        engine_trace->merge(result.trace);
+        merge_counters(*engine_trace, result.trace);
       }
     }
     result.elapsed_ms = ms_since(start);
@@ -391,7 +392,7 @@ void PortfolioEngine::complete_stage_task(
   state->finish_group(*group);
 }
 
-TraceSummary PortfolioEngine::trace_summary() const {
+SolveTrace PortfolioEngine::aggregate_trace() const {
   std::lock_guard<std::mutex> lock(trace_mutex_);
   return trace_;
 }

@@ -100,17 +100,14 @@ class PortfolioEngine {
   /// The defaults every request's race is resolved against.
   const ServiceOptions& options() const { return options_; }
 
-  CacheStats cache_stats() const { return cache_.stats(); }
-  /// Per-shard heat counters of the result cache (index == shard id).
-  std::vector<CacheStats> cache_shard_stats() const {
-    return cache_.shard_stats();
-  }
+  /// The result cache's totals and per-shard heat (ResultCache::metrics).
+  CacheMetrics cache_metrics() const { return cache_.metrics(); }
   void clear_cache() { cache_.clear(); }
   int thread_count() const { return pool_.thread_count(); }
   /// Cumulative trace merged over every group this engine has finished.
   /// Counters only — timelines stay on the individual PortfolioResults
   /// (their timestamps share no origin across races).
-  TraceSummary trace_summary() const;
+  SolveTrace aggregate_trace() const;
 
  private:
   /// Submit one group's current stage onto the pool (envs refreshed from
@@ -129,7 +126,7 @@ class PortfolioEngine {
   // and the cumulative trace.
   ResultCache cache_;
   mutable std::mutex trace_mutex_;
-  TraceSummary trace_;
+  SolveTrace trace_;
   ThreadPool pool_;
 };
 

@@ -359,8 +359,8 @@ StrategyOutcome run_strategy_impl(const core::MulticastProblem& problem,
   const int launch_index = env != nullptr ? env->launch_index : 0;
 
   core::FormulationOptions lp_options;
-  lp_options.solver.checkpoint = lp_checkpoint(
-      guard, tracer, launch_index, static_cast<std::uint8_t>(strategy));
+  lp_options.solver.checkpoint =
+      lp_checkpoint(guard, tracer, launch_index, strategy);
   core::HeuristicOptions heuristic_options;
   heuristic_options.lp = lp_options;
   heuristic_options.control.should_abort = [&guard] {
@@ -509,7 +509,7 @@ StrategyOutcome run_strategy_impl(const core::MulticastProblem& problem,
 }  // namespace
 
 lp::CheckpointHook lp_checkpoint(const BudgetGuard& guard, Tracer* tracer,
-                                int slot, std::uint8_t strategy) {
+                                int slot, StrategyId strategy) {
   if (tracer == nullptr || !tracer->enabled()) {
     return [&guard](int) {
       return guard.expired() ? lp::CheckpointAction::Abort
@@ -550,8 +550,7 @@ StrategyOutcome run_strategy(const core::MulticastProblem& problem,
   Tracer* tracer = env != nullptr ? env->tracer : nullptr;
   const int slot = env != nullptr ? env->launch_index : 0;
   if (tracer != nullptr) {
-    tracer->event(TraceEventKind::Launch, slot,
-                  static_cast<std::uint8_t>(strategy), 0.0);
+    tracer->event(TraceEventKind::Launch, slot, strategy, 0.0);
   }
   StrategyOutcome out =
       run_strategy_impl(problem, strategy, options, guard, env, tracer);
@@ -560,8 +559,7 @@ StrategyOutcome run_strategy(const core::MulticastProblem& problem,
                              ? out.period
                              : (out.bound_period < kInfinity ? out.bound_period
                                                              : 0.0);
-    tracer->event(terminal_event(out.state), slot,
-                  static_cast<std::uint8_t>(strategy), value);
+    tracer->event(terminal_event(out.state), slot, strategy, value);
   }
   return out;
 }

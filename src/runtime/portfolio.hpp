@@ -39,7 +39,6 @@
 /// types of pmcast/strategy.hpp and pmcast/response.hpp; PortfolioEngine
 /// (runtime/engine.hpp) orchestrates the race.
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -98,7 +97,7 @@ struct PortfolioResult {
   PruningSummary pruning;
   /// What the tracer recorded for this race (detail == Off when tracing
   /// was disabled; see PortfolioOptions::trace).
-  TraceSummary trace;
+  SolveTrace trace;
   double elapsed_ms = 0.0;
   bool from_cache = false;  ///< served from the engine's LRU cache
   bool coalesced = false;   ///< duplicate within a batch, copied from leader
@@ -143,6 +142,6 @@ int strategy_stage(StrategyId strategy);
 /// once, the FirstLpCheckpoint event of \p slot (a negative slot records
 /// no event). \p guard and \p tracer must outlive the hook.
 lp::CheckpointHook lp_checkpoint(const BudgetGuard& guard, Tracer* tracer,
-                                 int slot, std::uint8_t strategy);
+                                 int slot, StrategyId strategy);
 
 }  // namespace pmcast::runtime

@@ -12,8 +12,9 @@
 ///   PortfolioEngine  — the race: cache probe, request coalescing,
 ///                      staged strategy fan-out, streaming delivery
 ///                      (engine.hpp)
-///   Tracer / TraceSummary — always-on tracing/profiling: cut-predicate
-///                      accounting, checkpoint latency, timelines (trace.hpp)
+///   Tracer           — always-on tracing/profiling into SolveTrace:
+///                      cut-predicate accounting, checkpoint latency,
+///                      timelines (trace.hpp)
 ///
 /// See DESIGN_RUNTIME.md for the architecture notes.
 

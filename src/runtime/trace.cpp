@@ -22,32 +22,29 @@ int gap_bucket(double gap_us) {
   return std::min(exponent + 1, kCheckpointBuckets - 1);
 }
 
+/// SolveTrace's field for each CutPredicate, in enum order.
+constexpr std::array<CutPredicateTrace SolveTrace::*, kCutPredicateCount>
+    kPredicateFields = {&SolveTrace::sub_scatter, &SolveTrace::early_win,
+                        &SolveTrace::probe_poll, &SolveTrace::reconstruct_skip};
+
 }  // namespace
 
-const char* cut_predicate_name(CutPredicate predicate) {
-  switch (predicate) {
-    case CutPredicate::SubScatter: return "sub_scatter";
-    case CutPredicate::EarlyWin: return "early_win";
-    case CutPredicate::ProbePoll: return "probe_poll";
-    case CutPredicate::ReconstructSkip: return "reconstruct_skip";
-  }
-  return "?";
-}
-
-void TraceSummary::merge(const TraceSummary& other) {
-  detail = std::max(detail, other.detail);
-  for (int p = 0; p < kCutPredicateCount; ++p) {
-    predicates[p].evaluated += other.predicates[p].evaluated;
-    predicates[p].hits += other.predicates[p].hits;
-    predicates[p].closest_miss =
-        std::min(predicates[p].closest_miss, other.predicates[p].closest_miss);
+void merge_counters(SolveTrace& into, const SolveTrace& from) {
+  into.detail = std::max(into.detail, from.detail);
+  for (CutPredicateTrace SolveTrace::*field : kPredicateFields) {
+    CutPredicateTrace& a = into.*field;
+    const CutPredicateTrace& b = from.*field;
+    a.evaluated += b.evaluated;
+    a.hits += b.hits;
+    a.closest_miss = std::min(a.closest_miss, b.closest_miss);
   }
   for (int b = 0; b < kCheckpointBuckets; ++b) {
-    checkpoint_hist[b] += other.checkpoint_hist[b];
+    into.checkpoint_hist[b] += from.checkpoint_hist[b];
   }
-  checkpoint_polls += other.checkpoint_polls;
-  checkpoint_total_us += other.checkpoint_total_us;
-  checkpoint_max_us = std::max(checkpoint_max_us, other.checkpoint_max_us);
+  into.checkpoint_polls += from.checkpoint_polls;
+  into.checkpoint_total_us += from.checkpoint_total_us;
+  into.checkpoint_max_us = std::max(into.checkpoint_max_us,
+                                    from.checkpoint_max_us);
 }
 
 Tracer::Tracer(TraceDetail detail, std::size_t slots) : detail_(detail) {
@@ -97,34 +94,34 @@ void Tracer::checkpoint_gap(double gap_us) {
   }
 }
 
-void Tracer::event(TraceEventKind kind, int slot, std::uint8_t strategy,
+void Tracer::event(TraceEventKind kind, int slot, StrategyId strategy,
                    double value) {
   if (detail_ != TraceDetail::Timeline) return;
   if (slot < 0 || static_cast<std::size_t>(slot) >= slots_.size()) return;
   SlotEvents& cell = slots_[static_cast<std::size_t>(slot)];
   const std::uint32_t count = cell.count.load(std::memory_order_relaxed);
   if (count >= kMaxEventsPerSlot) return;  // drop, never block
-  TraceEvent& event = cell.events[count];
-  event.t_us = now_us();
-  event.value = value;
-  event.thread = hashed_thread_id();
+  TraceTimelineEvent& event = cell.events[count];
   event.kind = kind;
   event.strategy = strategy;
-  event.slot = static_cast<std::int16_t>(slot);
+  event.slot = slot;
+  event.thread = hashed_thread_id();
+  event.t_us = now_us();
+  event.value = value;
   // Publish after the payload is fully written (summary() acquires).
   cell.count.store(count + 1, std::memory_order_release);
 }
 
-TraceSummary Tracer::summary() const {
-  TraceSummary out;
+SolveTrace Tracer::summary() const {
+  SolveTrace out;
   out.detail = detail_;
   if (detail_ == TraceDetail::Off) return out;
   for (int p = 0; p < kCutPredicateCount; ++p) {
     const PredicateCell& cell = predicates_[p];
-    out.predicates[p].evaluated =
-        cell.evaluated.load(std::memory_order_relaxed);
-    out.predicates[p].hits = cell.hits.load(std::memory_order_relaxed);
-    out.predicates[p].closest_miss = std::bit_cast<double>(
+    CutPredicateTrace& trace = out.*kPredicateFields[p];
+    trace.evaluated = cell.evaluated.load(std::memory_order_relaxed);
+    trace.hits = cell.hits.load(std::memory_order_relaxed);
+    trace.closest_miss = std::bit_cast<double>(
         cell.closest_miss_bits.load(std::memory_order_relaxed));
   }
   for (int b = 0; b < kCheckpointBuckets; ++b) {
@@ -144,9 +141,8 @@ TraceSummary Tracer::summary() const {
       }
     }
     std::stable_sort(out.timeline.begin(), out.timeline.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
-                       return a.t_us < b.t_us;
-                     });
+                     [](const TraceTimelineEvent& a,
+                        const TraceTimelineEvent& b) { return a.t_us < b.t_us; });
   }
   return out;
 }

@@ -31,10 +31,9 @@
 /// summary() may race with writers (it is acquire-correct), though the
 /// runtime only calls it after the race has joined.
 ///
-/// TraceDetail and TraceEventKind are the public enums of
-/// pmcast/response.hpp. This header deliberately does not include
-/// portfolio.hpp: strategies are carried as raw uint8 so the tracer can be
-/// used from any layer without an include cycle.
+/// The tracer records straight into the public types of
+/// pmcast/response.hpp: summary() returns a SolveTrace, and the per-slot
+/// buffers hold TraceTimelineEvents.
 
 #include <array>
 #include <atomic>
@@ -49,7 +48,9 @@
 
 namespace pmcast::runtime {
 
-/// The cut predicates the runtime evaluates while racing a portfolio.
+/// The cut predicates the runtime evaluates while racing a portfolio. Each
+/// indexes one of the tracer's counter cells and lands in the
+/// CutPredicateTrace field of SolveTrace with the same name.
 enum class CutPredicate : std::uint8_t {
   /// Start-of-strategy sub-scatter dominance: the incumbent already beats
   /// the published scatter upper bound by more than the dominance margin.
@@ -67,65 +68,11 @@ enum class CutPredicate : std::uint8_t {
 
 inline constexpr int kCutPredicateCount = 4;
 
-const char* cut_predicate_name(CutPredicate predicate);
-
-/// One timeline entry. Timestamps are microseconds since the tracer was
-/// constructed (steady clock, monotonic within one race).
-struct TraceEvent {
-  double t_us = 0.0;
-  /// Kind-specific payload: certified period for Certified, the bound
-  /// period for Pruned/Skipped/Failed when one exists, else 0.
-  double value = 0.0;
-  std::uint32_t thread = 0;  ///< hashed std::this_thread id
-  TraceEventKind kind = TraceEventKind::Launch;
-  std::uint8_t strategy = 0;  ///< StrategyId as raw uint8
-  std::int16_t slot = 0;      ///< launch index within the race
-};
-
-/// Accounting for one cut predicate.
-struct PredicateTrace {
-  std::uint64_t evaluated = 0;
-  std::uint64_t hits = 0;
-  /// Smallest finite nonnegative margin by which the predicate missed —
-  /// "how close it came to firing". Infinity when every evaluation hit or
-  /// no finite margin was recorded.
-  double closest_miss = std::numeric_limits<double>::infinity();
-
-  std::uint64_t misses() const { return evaluated - hits; }
-};
-
-/// Checkpoint latency histogram: bucket 0 counts gaps below 1us, bucket i
-/// (i >= 1) counts gaps in [2^(i-1), 2^i) us, and the last bucket absorbs
-/// everything above 2^(kCheckpointBuckets-2) us (~16ms).
-inline constexpr int kCheckpointBuckets = 16;
-
-/// A plain-value snapshot of everything a Tracer recorded. Cheap to copy,
-/// safe to cache alongside a PortfolioResult.
-struct TraceSummary {
-  TraceDetail detail = TraceDetail::Off;
-  std::array<PredicateTrace, kCutPredicateCount> predicates{};
-  std::array<std::uint64_t, kCheckpointBuckets> checkpoint_hist{};
-  std::uint64_t checkpoint_polls = 0;
-  double checkpoint_total_us = 0.0;
-  double checkpoint_max_us = 0.0;
-  /// Timeline detail only; sorted by timestamp. Engine-level merges drop
-  /// timelines (timestamps from different races share no origin).
-  std::vector<TraceEvent> timeline;
-
-  const PredicateTrace& predicate(CutPredicate p) const {
-    return predicates[static_cast<std::size_t>(p)];
-  }
-  double checkpoint_mean_us() const {
-    return checkpoint_polls == 0
-               ? 0.0
-               : checkpoint_total_us / static_cast<double>(checkpoint_polls);
-  }
-
-  /// Fold another summary's counters into this one (histogram adds,
-  /// closest_miss takes the min, max gap takes the max). Timelines are
-  /// intentionally not merged; detail becomes the max of the two.
-  void merge(const TraceSummary& other);
-};
+/// Fold \p from's counters into \p into: predicate counts and histogram
+/// buckets add, closest_miss takes the min, the max gap takes the max and
+/// detail the higher of the two. Timelines are not merged (timestamps from
+/// different races share no origin).
+void merge_counters(SolveTrace& into, const SolveTrace& from);
 
 /// The recorder. One Tracer lives for the duration of one portfolio race
 /// (or, in the engine, one coalesced group). All recording methods are
@@ -157,13 +104,15 @@ class Tracer {
   void checkpoint_gap(double gap_us);
 
   /// Append a timeline event for \p slot (single writer per slot).
-  void event(TraceEventKind kind, int slot, std::uint8_t strategy,
+  void event(TraceEventKind kind, int slot, StrategyId strategy,
              double value);
 
   /// Microseconds since this tracer was constructed (0 when disabled).
   double now_us() const;
 
-  TraceSummary summary() const;
+  /// Everything recorded so far. Below Timeline detail the snapshot is
+  /// heap-free; Timeline adds the sorted event list.
+  SolveTrace summary() const;
 
  private:
   struct PredicateCell {
@@ -177,7 +126,7 @@ class Tracer {
   };
 
   struct SlotEvents {
-    std::array<TraceEvent, kMaxEventsPerSlot> events{};
+    std::array<TraceTimelineEvent, kMaxEventsPerSlot> events{};
     std::atomic<std::uint32_t> count{0};
   };
 

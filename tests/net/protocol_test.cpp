@@ -1,17 +1,22 @@
 /// Wire-protocol suite: encode→decode round-trip identity for every message
-/// type (including the golden platform corpus), plus the negative paths a
-/// network peer can actually hit — truncated frames, oversize length
-/// prefixes, bad magic/version, unknown types, counts that do not fit the
-/// payload, and sentinel smuggling in the deadline field. Decoding must
-/// never trust a peer-supplied length.
+/// type (including the golden platform corpus), golden bytes for the stats
+/// and trace frames, plus the negative paths a network peer can actually
+/// hit — truncated frames, oversize length prefixes, bad magic/version,
+/// unknown types, counts that do not fit the payload, trace details and
+/// histogram sizes no tracer produces, and sentinel smuggling in the
+/// deadline field. Decoding must never trust a peer-supplied length.
 
 #include "net/protocol.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "graph/hash.hpp"
@@ -454,7 +459,7 @@ TEST(Protocol, ErrorMessageLengthIsBoundsChecked) {
 }
 
 TEST(Protocol, StatsRoundTripsEveryCounter) {
-  ServerWireStats original;
+  ServerStats original;
   original.uptime_ms = 123456.0;
   original.connections_accepted = 300;
   original.connections_open = 12;
@@ -479,7 +484,7 @@ TEST(Protocol, StatsRoundTripsEveryCounter) {
   original.cache_entries = 512;
   original.ewma_solve_ms = 17.5;
 
-  Result<ServerWireStats> decoded =
+  Result<ServerStats> decoded =
       decode_stats_response(must_extract(encode_stats_response(original, 5)));
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
   EXPECT_DOUBLE_EQ(decoded->uptime_ms, original.uptime_ms);
@@ -508,7 +513,7 @@ TEST(Protocol, StatsTruncatedBodyIsMalformed) {
   const std::uint32_t len =
       static_cast<std::uint32_t>(bytes.size() - kHeaderBytes);
   std::memcpy(bytes.data() + 20, &len, sizeof(len));
-  Result<ServerWireStats> decoded = decode_stats_response(must_extract(bytes));
+  Result<ServerStats> decoded = decode_stats_response(must_extract(bytes));
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().message().find("truncated"), std::string::npos);
 }
@@ -519,51 +524,53 @@ TEST(Protocol, StatsTrailingBytesAreMalformed) {
   const std::uint32_t len =
       static_cast<std::uint32_t>(bytes.size() - kHeaderBytes);
   std::memcpy(bytes.data() + 20, &len, sizeof(len));
-  Result<ServerWireStats> decoded = decode_stats_response(must_extract(bytes));
+  Result<ServerStats> decoded = decode_stats_response(must_extract(bytes));
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().message().find("trailing"), std::string::npos);
 }
 
 // -------------------------------------------------------------------- trace --
 
-ServerWireTrace sample_trace() {
-  ServerWireTrace t;
-  t.detail = 2;
-  t.sub_scatter = {120, 30, 0.125};
-  t.early_win = {60, 4, 1e-9};
-  t.probe_poll = {900, 50, 0.5};
-  t.reconstruct_skip = {10, 2, 3.25};
-  t.checkpoint_hist = {5, 9, 14, 3, 0, 0, 1};
-  t.checkpoint_polls = 32;
-  t.checkpoint_total_us = 4096.0;
-  t.checkpoint_max_us = 900.5;
+ServerTrace sample_trace() {
+  ServerTrace t;
+  t.trace.detail = TraceDetail::Timeline;
+  t.trace.sub_scatter = {120, 30, 0.125};
+  t.trace.early_win = {60, 4, 1e-9};
+  t.trace.probe_poll = {900, 50, 0.5};
+  t.trace.reconstruct_skip = {10, 2, 3.25};
+  t.trace.checkpoint_hist = {5, 9, 14, 3, 0, 0, 1};
+  t.trace.checkpoint_polls = 32;
+  t.trace.checkpoint_total_us = 4096.0;
+  t.trace.checkpoint_max_us = 900.5;
   t.shard_heat = {{100, 20, 3, 40}, {80, 25, 0, 37}};
   return t;
 }
 
 TEST(Protocol, TraceRoundTripsEveryField) {
-  ServerWireTrace original = sample_trace();
-  Result<ServerWireTrace> decoded =
+  ServerTrace original = sample_trace();
+  Result<ServerTrace> decoded =
       decode_trace_response(must_extract(encode_trace_response(original, 9)));
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-  EXPECT_EQ(decoded->detail, original.detail);
-  EXPECT_EQ(decoded->sub_scatter.evaluated, original.sub_scatter.evaluated);
-  EXPECT_EQ(decoded->sub_scatter.hits, original.sub_scatter.hits);
-  EXPECT_DOUBLE_EQ(decoded->sub_scatter.closest_miss,
-                   original.sub_scatter.closest_miss);
-  EXPECT_EQ(decoded->early_win.hits, original.early_win.hits);
-  EXPECT_DOUBLE_EQ(decoded->early_win.closest_miss,
-                   original.early_win.closest_miss);
-  EXPECT_EQ(decoded->probe_poll.evaluated, original.probe_poll.evaluated);
-  EXPECT_EQ(decoded->reconstruct_skip.hits, original.reconstruct_skip.hits);
-  EXPECT_EQ(decoded->checkpoint_hist, original.checkpoint_hist);
-  EXPECT_EQ(decoded->checkpoint_polls, original.checkpoint_polls);
-  EXPECT_DOUBLE_EQ(decoded->checkpoint_total_us, original.checkpoint_total_us);
-  EXPECT_DOUBLE_EQ(decoded->checkpoint_max_us, original.checkpoint_max_us);
+  const SolveTrace& trace = decoded->trace;
+  EXPECT_EQ(trace.detail, original.trace.detail);
+  EXPECT_EQ(trace.sub_scatter.evaluated, original.trace.sub_scatter.evaluated);
+  EXPECT_EQ(trace.sub_scatter.hits, original.trace.sub_scatter.hits);
+  EXPECT_DOUBLE_EQ(trace.sub_scatter.closest_miss,
+                   original.trace.sub_scatter.closest_miss);
+  EXPECT_EQ(trace.early_win.hits, original.trace.early_win.hits);
+  EXPECT_DOUBLE_EQ(trace.early_win.closest_miss,
+                   original.trace.early_win.closest_miss);
+  EXPECT_EQ(trace.probe_poll.evaluated, original.trace.probe_poll.evaluated);
+  EXPECT_EQ(trace.reconstruct_skip.hits, original.trace.reconstruct_skip.hits);
+  EXPECT_EQ(trace.checkpoint_hist, original.trace.checkpoint_hist);
+  EXPECT_EQ(trace.checkpoint_polls, original.trace.checkpoint_polls);
+  EXPECT_DOUBLE_EQ(trace.checkpoint_total_us,
+                   original.trace.checkpoint_total_us);
+  EXPECT_DOUBLE_EQ(trace.checkpoint_max_us, original.trace.checkpoint_max_us);
   ASSERT_EQ(decoded->shard_heat.size(), 2u);
   EXPECT_EQ(decoded->shard_heat[0].hits, 100u);
   EXPECT_EQ(decoded->shard_heat[1].entries, 37u);
-  EXPECT_DOUBLE_EQ(decoded->checkpoint_mean_us(), 128.0);
+  EXPECT_DOUBLE_EQ(trace.checkpoint_mean_us(), 128.0);
 }
 
 TEST(Protocol, TraceRequestIsAnEmptyPayloadFrame) {
@@ -580,7 +587,7 @@ TEST(Protocol, TraceCountsMustFitThePayload) {
   Frame frame = must_extract(bytes);
   ASSERT_GE(frame.payload.size(), 32u);
   frame.payload.resize(frame.payload.size() - 32);
-  Result<ServerWireTrace> decoded = decode_trace_response(frame);
+  Result<ServerTrace> decoded = decode_trace_response(frame);
   EXPECT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
@@ -589,8 +596,259 @@ TEST(Protocol, TraceTrailingBytesAreMalformed) {
   std::vector<std::uint8_t> bytes = encode_trace_response(sample_trace(), 1);
   Frame frame = must_extract(bytes);
   frame.payload.push_back(0);
-  Result<ServerWireTrace> decoded = decode_trace_response(frame);
+  Result<ServerTrace> decoded = decode_trace_response(frame);
   EXPECT_FALSE(decoded.ok());
+}
+
+/// Offset of the histogram bucket count in a trace_response payload: the
+/// detail byte, then four predicates of 24 bytes each.
+constexpr std::size_t kBucketCountAt = 1 + 4 * 24;
+
+/// \p payload, a trace_response body carrying \p have histogram buckets,
+/// rewritten to carry \p want (extra buckets are zero).
+std::vector<std::uint8_t> with_buckets(std::vector<std::uint8_t> payload,
+                                       std::uint32_t have,
+                                       std::uint32_t want) {
+  std::memcpy(payload.data() + kBucketCountAt, &want, sizeof(want));
+  const auto first = payload.begin() +
+                     static_cast<std::ptrdiff_t>(kBucketCountAt + 4 +
+                                                 8 * std::min(have, want));
+  if (want > have) {
+    payload.insert(first, 8 * (want - have), 0);
+  } else {
+    payload.erase(first, first + 8 * (have - want));
+  }
+  return payload;
+}
+
+TEST(Protocol, TraceDetailMustBeKnown) {
+  // Off, Counters and Timeline are the only details a tracer runs at; any
+  // other byte is malformed rather than a trace of "detail 7".
+  Frame frame = must_extract(encode_trace_response(sample_trace(), 1));
+  ASSERT_TRUE(decode_trace_response(frame).ok());
+  for (std::uint8_t detail : {3, 7, 255}) {
+    frame.payload[0] = detail;
+    Result<ServerTrace> decoded = decode_trace_response(frame);
+    ASSERT_FALSE(decoded.ok()) << static_cast<int>(detail);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(decoded.status().message().find("detail"), std::string::npos)
+        << decoded.status().to_string();
+  }
+}
+
+TEST(Protocol, TraceHistogramFitsTheTracer) {
+  // An Off trace carries no histogram and every other detail carries all
+  // kCheckpointBuckets buckets; any other count is malformed.
+  const std::uint32_t full = kCheckpointBuckets;
+  Frame frame = must_extract(encode_trace_response(sample_trace(), 1));
+  ASSERT_EQ(frame.payload[0], static_cast<std::uint8_t>(TraceDetail::Timeline));
+  const std::vector<std::uint8_t> timeline = frame.payload;
+  for (std::uint32_t buckets : {0u, 8u, 17u, 40u}) {
+    frame.payload = with_buckets(timeline, full, buckets);
+    Result<ServerTrace> decoded = decode_trace_response(frame);
+    ASSERT_FALSE(decoded.ok()) << buckets << " buckets";
+    EXPECT_NE(decoded.status().message().find("bucket count"),
+              std::string::npos)
+        << decoded.status().to_string();
+  }
+  // The splice itself is sound: the full count decodes again.
+  frame.payload = with_buckets(timeline, full, full);
+  EXPECT_TRUE(decode_trace_response(frame).ok());
+
+  ServerTrace off;
+  off.shard_heat = {{1, 2, 3, 4}};
+  Frame off_frame = must_extract(encode_trace_response(off, 2));
+  ASSERT_TRUE(decode_trace_response(off_frame).ok());
+  off_frame.payload = with_buckets(off_frame.payload, 0, full);
+  EXPECT_FALSE(decode_trace_response(off_frame).ok());
+}
+
+// ------------------------------------------------------ golden stats/trace --
+
+std::vector<std::uint8_t> from_hex(std::string_view hex) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<std::uint8_t>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+void expect_same_stats(const ServerStats& a, const ServerStats& b) {
+  EXPECT_EQ(a.uptime_ms, b.uptime_ms);
+  EXPECT_EQ(a.connections_accepted, b.connections_accepted);
+  EXPECT_EQ(a.connections_open, b.connections_open);
+  EXPECT_EQ(a.requests_admitted, b.requests_admitted);
+  EXPECT_EQ(a.brownout_admitted, b.brownout_admitted);
+  EXPECT_EQ(a.responses_sent, b.responses_sent);
+  EXPECT_EQ(a.errors_sent, b.errors_sent);
+  EXPECT_EQ(a.shed_qps, b.shed_qps);
+  EXPECT_EQ(a.shed_in_flight, b.shed_in_flight);
+  EXPECT_EQ(a.shed_deadline, b.shed_deadline);
+  EXPECT_EQ(a.shed_shutdown, b.shed_shutdown);
+  EXPECT_EQ(a.protocol_errors, b.protocol_errors);
+  EXPECT_EQ(a.closed_idle_timeout, b.closed_idle_timeout);
+  EXPECT_EQ(a.closed_read_timeout, b.closed_read_timeout);
+  EXPECT_EQ(a.closed_backpressure, b.closed_backpressure);
+  EXPECT_EQ(a.faults_injected, b.faults_injected);
+  EXPECT_EQ(a.in_flight, b.in_flight);
+  EXPECT_EQ(a.worker_threads, b.worker_threads);
+  EXPECT_EQ(a.cache_shards, b.cache_shards);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_EQ(a.cache_entries, b.cache_entries);
+  EXPECT_EQ(a.ewma_solve_ms, b.ewma_solve_ms);
+}
+
+void expect_same_predicate(const CutPredicateTrace& a,
+                           const CutPredicateTrace& b) {
+  EXPECT_EQ(a.evaluated, b.evaluated);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.closest_miss, b.closest_miss);  // exact, infinity included
+}
+
+void expect_same_trace(const ServerTrace& a, const ServerTrace& b) {
+  EXPECT_EQ(a.trace.detail, b.trace.detail);
+  expect_same_predicate(a.trace.sub_scatter, b.trace.sub_scatter);
+  expect_same_predicate(a.trace.early_win, b.trace.early_win);
+  expect_same_predicate(a.trace.probe_poll, b.trace.probe_poll);
+  expect_same_predicate(a.trace.reconstruct_skip, b.trace.reconstruct_skip);
+  EXPECT_EQ(a.trace.checkpoint_hist, b.trace.checkpoint_hist);
+  EXPECT_EQ(a.trace.checkpoint_polls, b.trace.checkpoint_polls);
+  EXPECT_EQ(a.trace.checkpoint_total_us, b.trace.checkpoint_total_us);
+  EXPECT_EQ(a.trace.checkpoint_max_us, b.trace.checkpoint_max_us);
+  EXPECT_TRUE(a.trace.timeline.empty());
+  ASSERT_EQ(a.shard_heat.size(), b.shard_heat.size());
+  for (std::size_t i = 0; i < a.shard_heat.size(); ++i) {
+    EXPECT_EQ(a.shard_heat[i].hits, b.shard_heat[i].hits) << i;
+    EXPECT_EQ(a.shard_heat[i].misses, b.shard_heat[i].misses) << i;
+    EXPECT_EQ(a.shard_heat[i].evictions, b.shard_heat[i].evictions) << i;
+    EXPECT_EQ(a.shard_heat[i].entries, b.shard_heat[i].entries) << i;
+  }
+}
+
+TEST(Protocol, StatsAndTraceFramesAreByteStable) {
+  // Golden frames, generated by the stats/trace encoders of API 2.1 (whose
+  // payloads were separate wire structs). The bytes a peer sees may not
+  // move: every frame must re-encode identically and decode back to every
+  // field.
+  ServerStats stats;
+  stats.uptime_ms = 123456.75;
+  stats.connections_accepted = 1001;
+  stats.connections_open = 1002;
+  stats.requests_admitted = 1003;
+  stats.brownout_admitted = 1004;
+  stats.responses_sent = 1005;
+  stats.errors_sent = 1006;
+  stats.shed_qps = 1007;
+  stats.shed_in_flight = 1008;
+  stats.shed_deadline = 1009;
+  stats.shed_shutdown = 1010;
+  stats.protocol_errors = 1011;
+  stats.closed_idle_timeout = 1012;
+  stats.closed_read_timeout = 1013;
+  stats.closed_backpressure = 1014;
+  stats.faults_injected = 1015;
+  stats.in_flight = 1016;
+  stats.worker_threads = 17;
+  stats.cache_shards = 18;
+  stats.cache_hits = 0x0123456789abcdefull;
+  stats.cache_misses = 1020;
+  stats.cache_entries = 1021;
+  stats.ewma_solve_ms = 17.25;
+  const std::vector<std::pair<ServerStats, std::uint64_t>> stats_cases = {
+      {stats, 0x1122334455667788ull}, {ServerStats{}, 0}};
+  const char* const stats_hex[] = {
+      "504d433101060000000000008877665544332211b0000000000000000c24fe40e9"
+      "03000000000000ea03000000000000eb03000000000000ec03000000000000ed03"
+      "000000000000ee03000000000000ef03000000000000f003000000000000f10300"
+      "0000000000f203000000000000f303000000000000f403000000000000f5030000"
+      "00000000f603000000000000f703000000000000f8030000000000001100000012"
+      "000000efcdab8967452301fc03000000000000fd03000000000000000000000040"
+      "3140",
+      "504d433101060000000000000000000000000000b0000000000000000000000000"
+      "000000000000000000000000000000000000000000000000000000000000000000"
+      "000000000000000000000000000000000000000000000000000000000000000000"
+      "000000000000000000000000000000000000000000000000000000000000000000"
+      "000000000000000000000000000000000000000000000000000000000000000000"
+      "000000000000000000000000000000000000000000000000000000000000000000"
+      "0000"};
+  for (std::size_t i = 0; i < stats_cases.size(); ++i) {
+    const auto& [original, request_id] = stats_cases[i];
+    const std::vector<std::uint8_t> bytes =
+        encode_stats_response(original, request_id);
+    EXPECT_EQ(bytes.size(), 200u) << "stats frame " << i;
+    EXPECT_EQ(bytes, from_hex(stats_hex[i])) << "stats frame " << i;
+    Result<ServerStats> decoded = decode_stats_response(must_extract(bytes));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+    expect_same_stats(*decoded, original);
+  }
+
+  const double inf = std::numeric_limits<double>::infinity();
+  ServerTrace off;  // detail Off: no buckets, closest misses infinite
+  off.shard_heat = {{31, 32, 33, 34}};
+  std::vector<std::pair<ServerTrace, std::uint64_t>> trace_cases = {{off, 3}};
+  for (TraceDetail detail : {TraceDetail::Counters, TraceDetail::Timeline}) {
+    const int d = static_cast<int>(detail);
+    ServerTrace t;
+    t.trace.detail = detail;
+    t.trace.sub_scatter = {120, 30, 0.125};
+    t.trace.early_win = {60, 4, inf};
+    t.trace.probe_poll = {900, 50, 0.5};
+    t.trace.reconstruct_skip = {10, 2, 3.25};
+    for (int b = 0; b < kCheckpointBuckets; ++b) {
+      t.trace.checkpoint_hist[static_cast<std::size_t>(b)] =
+          static_cast<std::uint64_t>(100 + b * d);
+    }
+    t.trace.checkpoint_polls = static_cast<std::uint64_t>(1000 + d);
+    t.trace.checkpoint_total_us = 4096.5;
+    t.trace.checkpoint_max_us = 900.25;
+    t.shard_heat = {{100, 20, 3, 40}, {80, 25, 1, 37}};
+    trace_cases.emplace_back(t, static_cast<std::uint64_t>(40 + d));
+  }
+  const char* const trace_hex[] = {
+      // Off, one shard-heat row.
+      "504d433101080000000000000300000000000000a1000000000000000000000000"
+      "0000000000000000000000000000f07f0000000000000000000000000000000000"
+      "0000000000f07f00000000000000000000000000000000000000000000f07f0000"
+      "0000000000000000000000000000000000000000f07f0000000000000000000000"
+      "0000000000000000000000000000000000010000001f0000000000000020000000"
+      "0000000021000000000000002200000000000000",
+      // Counters, 16 buckets, two shard-heat rows.
+      "504d43310108000000000000290000000000000041010000017800000000000000"
+      "1e00000000000000000000000000c03f3c00000000000000040000000000000000"
+      "0000000000f07f84030000000000003200000000000000000000000000e03f0a00"
+      "00000000000002000000000000000000000000000a401000000064000000000000"
+      "006500000000000000660000000000000067000000000000006800000000000000"
+      "69000000000000006a000000000000006b000000000000006c000000000000006d"
+      "000000000000006e000000000000006f0000000000000070000000000000007100"
+      "00000000000072000000000000007300000000000000e903000000000000000000"
+      "008000b0400000000000228c400200000064000000000000001400000000000000"
+      "030000000000000028000000000000005000000000000000190000000000000001"
+      "000000000000002500000000000000",
+      // Timeline, 16 buckets, two shard-heat rows.
+      "504d433101080000000000002a0000000000000041010000027800000000000000"
+      "1e00000000000000000000000000c03f3c00000000000000040000000000000000"
+      "0000000000f07f84030000000000003200000000000000000000000000e03f0a00"
+      "00000000000002000000000000000000000000000a401000000064000000000000"
+      "00660000000000000068000000000000006a000000000000006c00000000000000"
+      "6e0000000000000070000000000000007200000000000000740000000000000076"
+      "0000000000000078000000000000007a000000000000007c000000000000007e00"
+      "00000000000080000000000000008200000000000000ea03000000000000000000"
+      "008000b0400000000000228c400200000064000000000000001400000000000000"
+      "030000000000000028000000000000005000000000000000190000000000000001"
+      "000000000000002500000000000000"};
+  const std::size_t trace_sizes[] = {185, 345, 345};
+  for (std::size_t i = 0; i < trace_cases.size(); ++i) {
+    const auto& [original, request_id] = trace_cases[i];
+    const std::vector<std::uint8_t> bytes =
+        encode_trace_response(original, request_id);
+    EXPECT_EQ(bytes.size(), trace_sizes[i]) << "trace frame " << i;
+    EXPECT_EQ(bytes, from_hex(trace_hex[i])) << "trace frame " << i;
+    Result<ServerTrace> decoded = decode_trace_response(must_extract(bytes));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+    expect_same_trace(*decoded, original);
+  }
 }
 
 // ------------------------------------------------------------ golden corpus --

@@ -1,7 +1,8 @@
 /// End-to-end daemon suite over real loopback sockets: solve round-trips
 /// (including cache hits and deadlines past the clock's range), remote
-/// stats, protocol-error handling, duplicate request ids, the in-flight
-/// cap on no-deadline requests, and graceful drain with work in flight.
+/// stats and trace, protocol-error handling, duplicate request ids, remote
+/// cancellation, the in-flight cap on no-deadline requests, and graceful
+/// drain with work in flight.
 /// Every server runs on an ephemeral port with run() on a background
 /// thread.
 
@@ -143,7 +144,7 @@ TEST(ServerTest, RemoteStatsReflectServing) {
   ASSERT_TRUE(client->solve(request).ok());
   ASSERT_TRUE(client->solve(request).ok());
 
-  Result<ServerWireStats> stats = client->stats();
+  Result<ServerStats> stats = client->stats();
   ASSERT_TRUE(stats.ok()) << stats.status().to_string();
   EXPECT_EQ(stats->requests_admitted, 2u);
   EXPECT_EQ(stats->responses_sent, 2u);
@@ -168,20 +169,23 @@ TEST(ServerTest, RemoteTraceExposesCutAccountingAndShardHeat) {
   ASSERT_TRUE(client->solve(request).ok());
   ASSERT_TRUE(client->solve(request).ok());  // cache hit
 
-  Result<ServerWireTrace> trace = client->trace();
-  ASSERT_TRUE(trace.ok()) << trace.status().to_string();
+  Result<ServerTrace> remote = client->trace();
+  ASSERT_TRUE(remote.ok()) << remote.status().to_string();
   // The default service runs at Counters detail, so the solve above left
   // cut-predicate accounting behind (the race evaluates early-win and
   // sub-scatter dominance at every strategy start).
-  EXPECT_GE(trace->detail, 1u);
-  EXPECT_GT(trace->early_win.evaluated, 0u);
+  const SolveTrace& trace = remote->trace;
+  EXPECT_EQ(trace.detail, TraceDetail::Counters);
+  EXPECT_GT(trace.early_win.evaluated, 0u);
   // The sub-scatter check only runs for strategies the early-win cut did
   // not already skip, so either it was evaluated or early-win fired first.
-  EXPECT_TRUE(trace->sub_scatter.evaluated > 0 || trace->early_win.hits > 0);
+  EXPECT_TRUE(trace.sub_scatter.evaluated > 0 || trace.early_win.hits > 0);
   // One shard-heat row per cache shard, and the cache hit landed somewhere.
-  ASSERT_FALSE(trace->shard_heat.empty());
+  ASSERT_FALSE(remote->shard_heat.empty());
   std::uint64_t total_hits = 0;
-  for (const WireShardHeat& s : trace->shard_heat) total_hits += s.hits;
+  for (const CacheMetrics::ShardHeat& s : remote->shard_heat) {
+    total_hits += s.hits;
+  }
   EXPECT_GE(total_hits, 1u);
 }
 
@@ -295,6 +299,51 @@ TEST(ServerTest, CancelOfUnknownIdIsIgnored) {
   SolveRequest request;
   request.problem = diamond_problem();
   EXPECT_TRUE(client->solve(request).ok());
+}
+
+TEST(ServerTest, CancelFrameStopsAnInFlightSolve) {
+  // A cancel frame stops the request it names on its own connection: the
+  // race is cut at its next checkpoint and answered with an error frame,
+  // which the client's next round-trip discards as stale.
+  ServerOptions options;
+  options.service.threads = 1;
+  options.service.cache_capacity = 0;
+  TestDaemon daemon(options);
+
+  ClientOptions client_options;
+  client_options.response_timeout_ms = 200.0;
+  client_options.retry.max_attempts = 1;
+  Result<Client> client = Client::connect("127.0.0.1", daemon.server.port(),
+                                          client_options);
+  ASSERT_TRUE(client.ok()) << client.status().to_string();
+
+  // Reduced broadcast alone runs for seconds on this platform, far past
+  // the client's 200 ms wait.
+  SolveRequest slow;
+  slow.problem = slow_problem();
+  slow.strategies = {StrategyId::ReducedBroadcast};
+  slow.deadline_ms = SolveRequest::kNoDeadline;
+  const std::uint64_t slow_id = client->next_request_id();
+  Result<RemoteResponse> timed_out = client->solve(slow);
+  ASSERT_FALSE(timed_out.ok());
+  EXPECT_EQ(timed_out.status().code(), StatusCode::kDeadlineExceeded)
+      << timed_out.status().to_string();
+  ASSERT_EQ(daemon.server.stats().in_flight, 1u);
+
+  ASSERT_TRUE(client->cancel(slow_id).ok());
+  for (int i = 0; i < 5000 && daemon.server.stats().in_flight != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const ServerStats stats = daemon.server.stats();
+  EXPECT_EQ(stats.in_flight, 0u);
+  EXPECT_EQ(stats.responses_sent, 0u);
+  EXPECT_EQ(stats.errors_sent, 1u);  // the cancelled request's answer
+
+  SolveRequest quick;
+  quick.problem = diamond_problem();
+  Result<RemoteResponse> next = client->solve(quick);
+  ASSERT_TRUE(next.ok()) << next.status().to_string();
+  EXPECT_EQ(client->stale_frames_discarded(), 1u);
 }
 
 TEST(ServerTest, NoDeadlineRequestIsNotAdmittedPastInFlightCap) {

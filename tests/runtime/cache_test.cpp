@@ -27,7 +27,7 @@ TEST(ResultCache, MissThenHit) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(hit->from_cache);
   EXPECT_DOUBLE_EQ(hit->period, 3.0);
-  CacheStats stats = cache.stats();
+  CacheMetrics stats = cache.metrics();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
@@ -42,7 +42,7 @@ TEST(ResultCache, EvictsLeastRecentlyUsed) {
   EXPECT_TRUE(cache.get(key(1)).has_value());
   EXPECT_FALSE(cache.get(key(2)).has_value());
   EXPECT_TRUE(cache.get(key(3)).has_value());
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.metrics().evictions, 1u);
 }
 
 TEST(ResultCache, DoesNotCacheFailedResults) {
@@ -89,11 +89,11 @@ TEST(ResultCache, AutoShardCountScalesWithHardwareConcurrency) {
       std::min(ResultCache::kMaxAutoShards, std::bit_ceil(hw));
   ResultCache cache(1024);
   EXPECT_EQ(cache.shard_count(), expected);
-  EXPECT_EQ(cache.stats().shards, expected);
-  // Explicit shard counts are honoured verbatim and reported in stats.
+  EXPECT_EQ(cache.metrics().shards, expected);
+  // Explicit shard counts are honoured verbatim and reported in metrics.
   EXPECT_EQ(ResultCache(1024, 4).shard_count(), 4u);
-  EXPECT_EQ(ResultCache(1024, 4).stats().shards, 4u);
-  EXPECT_EQ(ResultCache(1024, 1).stats().shards, 1u);
+  EXPECT_EQ(ResultCache(1024, 4).metrics().shards, 4u);
+  EXPECT_EQ(ResultCache(1024, 1).metrics().shards, 1u);
 }
 
 TEST(ResultCache, LargeCachesShardWithAggregateCapacity) {
@@ -105,7 +105,7 @@ TEST(ResultCache, LargeCachesShardWithAggregateCapacity) {
   for (std::uint64_t id = 0; id < 4096; ++id) {
     cache.put(key(id), certified(static_cast<double>(id)));
   }
-  CacheStats stats = cache.stats();
+  CacheMetrics stats = cache.metrics();
   EXPECT_LE(stats.entries, 1024u);
   EXPECT_GE(stats.entries, 1000u);  // instance keys spread ~uniformly
   EXPECT_EQ(stats.evictions, 4096u - stats.entries);
@@ -122,14 +122,14 @@ TEST(ResultCache, ShardedHitMissAccountingAggregates) {
   for (std::uint64_t id = 100; id < 116; ++id) {
     EXPECT_FALSE(cache.get(key(id)).has_value());
   }
-  CacheStats stats = cache.stats();
+  CacheMetrics stats = cache.metrics();
   EXPECT_EQ(stats.hits, 32u);
   EXPECT_EQ(stats.misses, 16u);
   EXPECT_EQ(stats.entries, 32u);
   cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.metrics().entries, 0u);
   // hit/miss history survives clear() (same semantics as before sharding).
-  EXPECT_EQ(cache.stats().hits, 32u);
+  EXPECT_EQ(cache.metrics().hits, 32u);
 }
 
 TEST(ResultCache, ShardedConcurrentHammer) {
@@ -149,17 +149,17 @@ TEST(ResultCache, ShardedConcurrentHammer) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_LE(cache.stats().entries, 1024u);
+  EXPECT_LE(cache.metrics().entries, 1024u);
 }
 
 TEST(ResultCache, HotInstancesSpreadAcrossShardStats) {
   // Eight explicit shards so shard ownership (key.hi % shards) is
   // deterministic regardless of hardware_concurrency. 64 hot instances
   // cover every residue class, so a hit-dominated multi-thread workload
-  // must leave hit counts on ALL shards — a skewed shard_stats() here
-  // would mean the key half feeding shard_index lost its spread.
+  // must leave hit counts on ALL shards — a skewed shard_heat here would
+  // mean the key half feeding shard_index lost its spread.
   ResultCache cache(1024, 8);
-  ASSERT_EQ(cache.shard_stats().size(), 8u);
+  ASSERT_EQ(cache.metrics().shard_heat.size(), 8u);
   for (std::uint64_t id = 0; id < 64; ++id) {
     cache.put(key(id), certified(static_cast<double>(id)));
   }
@@ -179,10 +179,10 @@ TEST(ResultCache, HotInstancesSpreadAcrossShardStats) {
   }
   for (auto& t : threads) t.join();
 
-  const std::vector<CacheStats> shards = cache.shard_stats();
-  ASSERT_EQ(shards.size(), 8u);
+  const CacheMetrics metrics = cache.metrics();
+  ASSERT_EQ(metrics.shard_heat.size(), 8u);
   std::size_t total_hits = 0, total_entries = 0, shards_hit = 0;
-  for (const CacheStats& s : shards) {
+  for (const CacheMetrics::ShardHeat& s : metrics.shard_heat) {
     total_hits += s.hits;
     total_entries += s.entries;
     if (s.hits > 0) ++shards_hit;
@@ -192,10 +192,9 @@ TEST(ResultCache, HotInstancesSpreadAcrossShardStats) {
   EXPECT_EQ(shards_hit, 8u);  // every shard served part of the hot set
   EXPECT_EQ(total_entries, 64u);
   EXPECT_EQ(total_hits, 8u * 4000u);  // hit-dominated: no misses after warmup
-  // The aggregate view must equal the per-shard breakdown.
-  CacheStats aggregate = cache.stats();
-  EXPECT_EQ(aggregate.hits, total_hits);
-  EXPECT_EQ(aggregate.entries, total_entries);
+  // The totals must equal the per-shard breakdown.
+  EXPECT_EQ(metrics.hits, total_hits);
+  EXPECT_EQ(metrics.entries, total_entries);
 }
 
 TEST(ResultCache, ConcurrentMixedTraffic) {
@@ -215,7 +214,7 @@ TEST(ResultCache, ConcurrentMixedTraffic) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_LE(cache.stats().entries, 64u);
+  EXPECT_LE(cache.metrics().entries, 64u);
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ TEST(Engine, SameInstanceTwiceIsACacheHitWithIdenticalPeriod) {
   EXPECT_EQ(second.period, first.period);  // bit-identical
   EXPECT_EQ(second.winner, first.winner);
 
-  CacheStats stats = engine.cache_stats();
+  CacheMetrics stats = engine.cache_metrics();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
@@ -100,7 +100,7 @@ TEST(Engine, BatchCoalescesDuplicateInstances) {
   EXPECT_EQ(results[4].period, results[1].period);
 
   // Only the two unique instances were actually solved (and cached).
-  EXPECT_EQ(engine.cache_stats().entries, 2u);
+  EXPECT_EQ(engine.cache_metrics().entries, 2u);
 }
 
 TEST(Engine, ThreadCountsOneTwoEightAgree) {

@@ -149,7 +149,7 @@ TEST(Portfolio, InfeasibleInstanceFailsCleanly) {
   EXPECT_FALSE(results[1].ok);
   EXPECT_TRUE(results[1].coalesced);
   EXPECT_EQ(results[1].outcomes.size(), r.outcomes.size());
-  EXPECT_EQ(engine.cache_stats().entries, 0u);
+  EXPECT_EQ(engine.cache_metrics().entries, 0u);
   EXPECT_FALSE(engine.solve(request_for(p)).from_cache);
 }
 

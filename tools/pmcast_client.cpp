@@ -1,7 +1,7 @@
 /// \file pmcast_client.cpp
 /// Command-line client for a running pmcast_serve daemon: solve platform
 /// files remotely over the binary wire protocol, or fetch the daemon's
-/// counter snapshot.
+/// counter snapshot (--stats) and profiling snapshot (--trace).
 ///
 /// Usage:
 ///   pmcast_client [--host H] [--port P] [--tenant T]
@@ -28,7 +28,7 @@ int usage(const char* argv0) {
   return 2;
 }
 
-void print_stats(const pmcast::net::ServerWireStats& s) {
+void print_stats(const pmcast::net::ServerStats& s) {
   std::printf("uptime              %.1f s\n", s.uptime_ms / 1000.0);
   std::printf("connections         %llu accepted, %llu open\n",
               static_cast<unsigned long long>(s.connections_accepted),
@@ -68,19 +68,19 @@ void print_stats(const pmcast::net::ServerWireStats& s) {
               static_cast<unsigned>(s.worker_threads), s.ewma_solve_ms);
 }
 
-void print_predicate(const char* name,
-                     const pmcast::net::WirePredicateTrace& p) {
+void print_predicate(const char* name, const pmcast::CutPredicateTrace& p) {
   std::printf("  %-16s %llu evaluated, %llu hits", name,
               static_cast<unsigned long long>(p.evaluated),
               static_cast<unsigned long long>(p.hits));
-  if (p.evaluated > p.hits && p.closest_miss < 1e300) {
+  if (p.misses() > 0 && p.closest_miss < 1e300) {
     std::printf(", closest miss %.3g", p.closest_miss);
   }
   std::printf("\n");
 }
 
-void print_trace(const pmcast::net::ServerWireTrace& t) {
-  std::printf("trace detail        %u\n", static_cast<unsigned>(t.detail));
+void print_trace(const pmcast::net::ServerTrace& server_trace) {
+  const pmcast::SolveTrace& t = server_trace.trace;
+  std::printf("trace detail        %s\n", pmcast::trace_detail_name(t.detail));
   std::printf("cut predicates\n");
   print_predicate("sub_scatter", t.sub_scatter);
   print_predicate("early_win", t.early_win);
@@ -97,8 +97,8 @@ void print_trace(const pmcast::net::ServerWireTrace& t) {
     std::printf("\n");
   }
   std::printf("cache shard heat    (hits/misses/evictions/entries)\n");
-  for (std::size_t i = 0; i < t.shard_heat.size(); ++i) {
-    const pmcast::net::WireShardHeat& s = t.shard_heat[i];
+  for (std::size_t i = 0; i < server_trace.shard_heat.size(); ++i) {
+    const pmcast::CacheMetrics::ShardHeat& s = server_trace.shard_heat[i];
     std::printf("  shard %-2zu         %llu/%llu/%llu/%llu\n", i,
                 static_cast<unsigned long long>(s.hits),
                 static_cast<unsigned long long>(s.misses),
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
   }
 
   if (want_stats) {
-    pmcast::Result<pmcast::net::ServerWireStats> stats = client.stats();
+    pmcast::Result<pmcast::net::ServerStats> stats = client.stats();
     if (!stats.ok()) {
       std::fprintf(stderr, "%s\n", stats.status().to_string().c_str());
       return 1;
@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
     print_stats(*stats);
   }
   if (want_trace) {
-    pmcast::Result<pmcast::net::ServerWireTrace> trace = client.trace();
+    pmcast::Result<pmcast::net::ServerTrace> trace = client.trace();
     if (!trace.ok()) {
       std::fprintf(stderr, "%s\n", trace.status().to_string().c_str());
       return 1;

@@ -147,9 +147,7 @@ int main(int argc, char** argv) {
               "%llu shed\n",
               static_cast<unsigned long long>(stats.responses_sent),
               static_cast<unsigned long long>(stats.errors_sent),
-              static_cast<unsigned long long>(
-                  stats.shed_qps + stats.shed_in_flight +
-                  stats.shed_deadline + stats.shed_shutdown));
+              static_cast<unsigned long long>(stats.total_shed()));
   g_server = nullptr;
   return 0;
 }
